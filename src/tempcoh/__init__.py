@@ -19,7 +19,6 @@ from .coherence import (
     semantic_support,
 )
 from .interpret import (
-    Assignment,
     CaseResult,
     CorpusError,
     CorpusReport,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AspectClass",
-    "Assignment",
     "CONNECTIVE_RELATIONS",
     "CaseResult",
     "CausalAxiom",

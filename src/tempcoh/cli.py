@@ -1,7 +1,8 @@
 """Command-line interface: single-discourse interpretation and corpus regression.
 
 Exit codes: 0 success, 1 infelicitous verdict in plain (non `--json`)
-single-file mode, 2 unreadable or malformed input, 3 corpus failures.
+single-file mode, 2 unreadable or malformed input, 3 corpus failures,
+4 internal error (the traceback goes to stderr).
 JSON goes to stdout; `--trace` derivation lines go to stderr so stdout
 stays machine-readable.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .interpret import (
@@ -52,25 +54,17 @@ def _cmd_interpret(args) -> int:
     interp = interpret(discourse, lexicon, axioms)
     if args.trace:
         _print_trace(interp.trace)
-    assignments = (
-        enumerate_assignments(discourse, lexicon, axioms) if args.all else None
-    )
+    assignments = []
+    if args.all and interp.felicitous:
+        # An infelicitous verdict already shows that no assignment survives.
+        assignments = enumerate_assignments(discourse, lexicon, axioms)
 
     if args.json:
         data = interpretation_to_dict(interp)
-        if assignments is not None:
+        if args.all:
+            rendered = map(interpretation_to_dict, assignments)
             data["assignments"] = [
-                {
-                    "relations": [
-                        {"kind": r.kind.value, "first": r.first, "second": r.second}
-                        for r in a.relations
-                    ],
-                    "event_order": [
-                        {"before": before, "after": after}
-                        for before, after in a.event_order
-                    ],
-                }
-                for a in assignments
+                {key: d[key] for key in ("relations", "event_order")} for d in rendered
             ]
         sys.stdout.write(render_json(data))
         return 0
@@ -91,7 +85,7 @@ def _cmd_interpret(args) -> int:
         print("diagnostics:")
         for diag in interp.diagnostics:
             print(f"  {diag.code.value}: {diag.message}")
-    if assignments is not None:
+    if args.all:
         print("assignments:")
         for i, a in enumerate(assignments, start=1):
             rels = ", ".join(_relation_line(r) for r in a.relations) or "(none)"
@@ -166,6 +160,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError, UnknownLemmaError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # A crash must not read as exit 1, which means "infelicitous".
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

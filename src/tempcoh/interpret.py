@@ -3,12 +3,16 @@
 Clauses are processed left to right. The tense stage mints event points
 and asserts each clause's tense constraints while accumulating salient
 event times. The coherence stage then walks adjacent pairs, trying each
-pair's candidate relations in cue-priority order and keeping the first
-complete assignment whose constraints stay consistent and whose semantic
-prerequisites hold (a depth-first search, so a dead end later in the
-discourse backtracks to a lower-priority candidate earlier). A discourse
-with no such assignment is infelicitous and carries a diagnostic naming
-the blocking clauses.
+pair's candidate relations in cue-priority order: one generator,
+`_search`, yields every complete assignment whose constraints stay
+consistent and whose semantic prerequisites hold, in priority order.
+`interpret` takes the first and `enumerate_assignments` all of them. It
+is a depth-first search, so a dead end later in the discourse backtracks
+to a lower-priority candidate earlier. It keeps its path on an explicit
+stack, one frame per open pair, instead of recursing per pair, so that
+Python's recursion limit does not bound the length of a discourse. A
+discourse with no surviving assignment is infelicitous and carries a
+diagnostic naming the deepest pair at which the search failed.
 
 The JSON output is deterministic: stable key order, two-space indent,
 newline terminated. Corpus expectation files use the same shape minus
@@ -94,15 +98,6 @@ class Interpretation:
     trace: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """One complete, surviving coherence assignment (used by `--all`)."""
-
-    relations: tuple[CoherenceRelation, ...]
-    network: TemporalNetwork
-    event_order: tuple[tuple[str, str], ...]
-
-
 def _speech_point() -> TimePoint:
     return TimePoint(id=SPEECH_POINT_ID, kind=PointKind.SPEECH)
 
@@ -117,7 +112,7 @@ def _tense_stage(
     """Run tense resolution over all clauses; stops at the first defect."""
     trace: list[str] = []
     speech = _speech_point()
-    net = TemporalNetwork.empty().add_point(speech)
+    net = TemporalNetwork().add_point(speech)
     ctx = TenseResolutionContext(speech_time=speech)
     for clause in discourse.clauses:
         try:
@@ -184,77 +179,93 @@ def _describe_cues(cues) -> str:
     )
 
 
-class _Search:
-    """Depth-first search over per-pair candidate relations in priority order."""
+def _survivors(discourse, axioms, pair, net, trace):
+    """Yield each candidate relation of `pair` that holds on `net`, in priority order.
 
-    def __init__(self, discourse, axioms, trace, collect_all=False):
-        self.discourse = discourse
-        self.axioms = axioms
-        self.trace = trace
-        self.pairs = list(zip(discourse.clauses, discourse.clauses[1:]))
-        self.collect_all = collect_all
-        self.complete: list[tuple[tuple[CoherenceRelation, ...], TemporalNetwork]] = []
-        # Deepest pair index at which a branch died, and why; later shallower
-        # failures never override it, so the diagnostic names the furthest
-        # pair the interpretation reached.
-        self.failure: tuple[int, DiagnosticCode, tuple[str, ...]] | None = None
-
-    def _record_failure(
-        self, idx: int, code: DiagnosticCode, clause_ids: tuple[str, ...]
-    ) -> None:
-        if self.failure is None or idx > self.failure[0]:
-            self.failure = (idx, code, clause_ids)
-
-    def run(self, idx, net, chosen):
-        if idx == len(self.pairs):
-            self.complete.append((tuple(chosen), net))
-            return not self.collect_all
-        first, second = self.pairs[idx]
-        cues = derive_cues(self.discourse, second)
-        candidates = candidate_relations((first, second), cues, self.axioms)
-        pair_label = f"({first.id}, {second.id})"
-        self.trace.append(f"[cues] pair {pair_label}: {_describe_cues(cues)}")
-        names = ", ".join(c.kind.name for c in candidates) or "none"
-        self.trace.append(f"[coherence] pair {pair_label}: candidates: {names}")
-        any_supported = False
-        for candidate in candidates:
-            if not semantic_support(candidate, self.discourse, self.axioms):
-                self.trace.append(
-                    f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
-                    "no semantic support"
-                )
-                continue
-            any_supported = True
-            trial = net
-            constraint = relation_constraint(candidate)
-            if constraint is not None:
-                (a, b), rel = constraint
-                trial = trial.assert_constraint(a, b, rel)
-                asserted = f"; asserted {a} {rel.value} {b}"
-            else:
-                asserted = "; no ordering constraint"
-            trial = trial.close()
-            if not trial.is_consistent():
-                self.trace.append(
-                    f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
-                    "temporal clash"
-                )
-                continue
-            self.trace.append(
-                f"[coherence] pair {pair_label}: {candidate.kind.name} holds{asserted}"
+    Each comes with the closed network it leads to; resuming the generator
+    means the search backtracked from the last one. Once no candidate is
+    left, returns why the pair failed and the ids of its clauses.
+    """
+    first, second = pair
+    cues = derive_cues(discourse, second)
+    candidates = candidate_relations(pair, cues, axioms)
+    pair_label = f"({first.id}, {second.id})"
+    trace.append(f"[cues] pair {pair_label}: {_describe_cues(cues)}")
+    names = ", ".join(c.kind.name for c in candidates) or "none"
+    trace.append(f"[coherence] pair {pair_label}: candidates: {names}")
+    any_supported = False
+    for candidate in candidates:
+        if not semantic_support(candidate, discourse, axioms):
+            trace.append(
+                f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
+                "no semantic support"
             )
-            if self.run(idx + 1, trial, chosen + [candidate]):
-                return True
-            self.trace.append(
-                f"[coherence] pair {pair_label}: backtracking from {candidate.kind.name}"
+            continue
+        any_supported = True
+        trial = net
+        constraint = relation_constraint(candidate)
+        if constraint is not None:
+            (a, b), rel = constraint
+            trial = trial.assert_constraint(a, b, rel)
+            asserted = f"; asserted {a} {rel.value} {b}"
+        else:
+            asserted = "; no ordering constraint"
+        trial = trial.close()
+        if not trial.is_consistent():
+            trace.append(
+                f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
+                "temporal clash"
             )
-        code = (
-            DiagnosticCode.TEMPORAL_CLASH
-            if any_supported
-            else DiagnosticCode.NO_COHERENCE_RELATION
+            continue
+        trace.append(
+            f"[coherence] pair {pair_label}: {candidate.kind.name} holds{asserted}"
         )
-        self._record_failure(idx, code, (first.id, second.id))
-        return False
+        yield candidate, trial
+        trace.append(
+            f"[coherence] pair {pair_label}: backtracking from {candidate.kind.name}"
+        )
+    code = (
+        DiagnosticCode.TEMPORAL_CLASH
+        if any_supported
+        else DiagnosticCode.NO_COHERENCE_RELATION
+    )
+    return code, (first.id, second.id)
+
+
+def _search(discourse, axioms, net, trace):
+    """Depth-first search over per-pair candidate relations in priority order.
+
+    Yields every complete assignment that survives, with its closed
+    network, and appends the derivation to `trace`. Once exhausted,
+    returns the diagnostic code and clause ids of the deepest pair at
+    which a branch died, or None if none died.
+    """
+    pairs = list(zip(discourse.clauses, discourse.clauses[1:]))
+    frames = []  # one `_survivors` generator per open pair, outermost first
+    chosen = []  # the relation taken at each open pair
+    deepest, failure = -1, None
+    while True:
+        # `net` is the closed network after the relations in `chosen`.
+        if len(chosen) == len(pairs):
+            yield tuple(chosen), net
+        else:
+            frames.append(_survivors(discourse, axioms, pairs[len(chosen)], net, trace))
+        # Advance the innermost open pair, dropping those with no survivor left.
+        while frames:
+            depth = len(frames) - 1
+            del chosen[depth:]
+            try:
+                candidate, net = next(frames[-1])
+            except StopIteration as exhausted:
+                # A shallower failure found later never overrides a deeper one.
+                if depth > deepest:
+                    deepest, failure = depth, exhausted.value
+                frames.pop()
+            else:
+                chosen.append(candidate)
+                break
+        else:
+            return failure
 
 
 def interpret(
@@ -267,32 +278,23 @@ def interpret(
     diagnostics name the blocking clauses. Pure and deterministic.
     """
     net, diag, trace = _tense_stage(discourse)
-    if diag is not None:
-        trace.append(f"[result] infelicitous: {diag.code.value}")
-        return Interpretation(
-            felicitous=False,
-            relations=(),
-            network=net.close(),
-            event_order=(),
-            diagnostics=(diag,),
-            trace=tuple(trace),
-        )
-    search = _Search(discourse, axioms, trace)
-    if search.run(0, net, []):
-        relations, final = search.complete[0]
-        order = _event_order(final, discourse)
-        rendered = ", ".join(f"{a} < {b}" for a, b in order) or "none"
-        trace.append(f"[result] felicitous; entailed event order: {rendered}")
-        return Interpretation(
-            felicitous=True,
-            relations=relations,
-            network=final,
-            event_order=order,
-            diagnostics=(),
-            trace=tuple(trace),
-        )
-    idx, code, clause_ids = search.failure
-    diag = Diagnostic.make(code, clause_ids)
+    if diag is None:
+        try:
+            relations, final = next(_search(discourse, axioms, net, trace))
+        except StopIteration as exhausted:
+            diag = Diagnostic.make(*exhausted.value)
+        else:
+            order = _event_order(final, discourse)
+            rendered = ", ".join(f"{a} < {b}" for a, b in order) or "none"
+            trace.append(f"[result] felicitous; entailed event order: {rendered}")
+            return Interpretation(
+                felicitous=True,
+                relations=relations,
+                network=final,
+                event_order=order,
+                diagnostics=(),
+                trace=tuple(trace),
+            )
     trace.append(f"[result] infelicitous: {diag.code.value}")
     return Interpretation(
         felicitous=False,
@@ -306,20 +308,20 @@ def interpret(
 
 def enumerate_assignments(
     discourse: Discourse, lexicon: Lexicon, axioms: list[CausalAxiom]
-) -> list[Assignment]:
-    """Every complete coherence assignment that survives, in priority order."""
-    net, diag, trace = _tense_stage(discourse)
+) -> list[Interpretation]:
+    """Each surviving assignment in priority order, as a felicitous Interpretation."""
+    net, diag, _ = _tense_stage(discourse)
     if diag is not None:
         return []
-    search = _Search(discourse, axioms, trace, collect_all=True)
-    search.run(0, net, [])
     return [
-        Assignment(
+        Interpretation(
+            felicitous=True,
             relations=relations,
             network=final,
             event_order=_event_order(final, discourse),
+            diagnostics=(),
         )
-        for relations, final in search.complete
+        for relations, final in _search(discourse, axioms, net, [])
     ]
 
 

@@ -24,7 +24,6 @@ from typing import Iterable
 
 class PointKind(Enum):
     EVENT = "EVENT"
-    REFERENCE = "REFERENCE"
     SPEECH = "SPEECH"
 
 
@@ -56,7 +55,7 @@ class InconsistentNetworkError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimePoint:
-    """A temporal entity: an event time, a reference time, or the speech time."""
+    """A temporal entity: an event time or the speech time."""
 
     id: str
     kind: PointKind
@@ -92,10 +91,6 @@ class TemporalNetwork:
     constraints: dict[tuple[str, str], PointRelation] = field(default_factory=dict)
     inconsistent: bool = False
     closed: bool = False
-
-    @classmethod
-    def empty(cls) -> "TemporalNetwork":
-        return cls()
 
     @classmethod
     def over(cls, points: Iterable[TimePoint]) -> "TemporalNetwork":

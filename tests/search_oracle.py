@@ -1,0 +1,178 @@
+"""The recursive depth-first coherence search, kept as a reference oracle.
+
+This is the search `tempcoh.interpret` ran before it moved to a single
+iterative generator: `_Search`, `interpret` and `enumerate_assignments`
+below are that code unchanged, apart from imports. The differential tests
+in `test_search_oracle.py` require the package to agree with it on every
+verdict, relation, network, event order, diagnostic and trace line.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from tempcoh.coherence import (
+    CoherenceRelation,
+    candidate_relations,
+    derive_cues,
+    relation_constraint,
+    semantic_support,
+)
+from tempcoh.interpret import (
+    Diagnostic,
+    DiagnosticCode,
+    Interpretation,
+    _describe_cues,
+    _event_order,
+    _tense_stage,
+)
+from tempcoh.network import TemporalNetwork
+from tempcoh.parsing import CausalAxiom, Discourse, Lexicon
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """One complete, surviving coherence assignment (used by `--all`)."""
+
+    relations: tuple[CoherenceRelation, ...]
+    network: TemporalNetwork
+    event_order: tuple[tuple[str, str], ...]
+
+
+class _Search:
+    """Depth-first search over per-pair candidate relations in priority order."""
+
+    def __init__(self, discourse, axioms, trace, collect_all=False):
+        self.discourse = discourse
+        self.axioms = axioms
+        self.trace = trace
+        self.pairs = list(zip(discourse.clauses, discourse.clauses[1:]))
+        self.collect_all = collect_all
+        self.complete: list[tuple[tuple[CoherenceRelation, ...], TemporalNetwork]] = []
+        # Deepest pair index at which a branch died, and why; later shallower
+        # failures never override it, so the diagnostic names the furthest
+        # pair the interpretation reached.
+        self.failure: tuple[int, DiagnosticCode, tuple[str, ...]] | None = None
+
+    def _record_failure(
+        self, idx: int, code: DiagnosticCode, clause_ids: tuple[str, ...]
+    ) -> None:
+        if self.failure is None or idx > self.failure[0]:
+            self.failure = (idx, code, clause_ids)
+
+    def run(self, idx, net, chosen):
+        if idx == len(self.pairs):
+            self.complete.append((tuple(chosen), net))
+            return not self.collect_all
+        first, second = self.pairs[idx]
+        cues = derive_cues(self.discourse, second)
+        candidates = candidate_relations((first, second), cues, self.axioms)
+        pair_label = f"({first.id}, {second.id})"
+        self.trace.append(f"[cues] pair {pair_label}: {_describe_cues(cues)}")
+        names = ", ".join(c.kind.name for c in candidates) or "none"
+        self.trace.append(f"[coherence] pair {pair_label}: candidates: {names}")
+        any_supported = False
+        for candidate in candidates:
+            if not semantic_support(candidate, self.discourse, self.axioms):
+                self.trace.append(
+                    f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
+                    "no semantic support"
+                )
+                continue
+            any_supported = True
+            trial = net
+            constraint = relation_constraint(candidate)
+            if constraint is not None:
+                (a, b), rel = constraint
+                trial = trial.assert_constraint(a, b, rel)
+                asserted = f"; asserted {a} {rel.value} {b}"
+            else:
+                asserted = "; no ordering constraint"
+            trial = trial.close()
+            if not trial.is_consistent():
+                self.trace.append(
+                    f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
+                    "temporal clash"
+                )
+                continue
+            self.trace.append(
+                f"[coherence] pair {pair_label}: {candidate.kind.name} holds{asserted}"
+            )
+            if self.run(idx + 1, trial, chosen + [candidate]):
+                return True
+            self.trace.append(
+                f"[coherence] pair {pair_label}: backtracking from {candidate.kind.name}"
+            )
+        code = (
+            DiagnosticCode.TEMPORAL_CLASH
+            if any_supported
+            else DiagnosticCode.NO_COHERENCE_RELATION
+        )
+        self._record_failure(idx, code, (first.id, second.id))
+        return False
+
+
+def interpret(
+    discourse: Discourse, lexicon: Lexicon, axioms: list[CausalAxiom]
+) -> Interpretation:
+    """Interpret a discourse: tense stage, then coherence resolution.
+
+    Returns a felicitous Interpretation with one relation per adjacent
+    pair and the entailed event ordering, or an infelicitous one whose
+    diagnostics name the blocking clauses. Pure and deterministic.
+    """
+    net, diag, trace = _tense_stage(discourse)
+    if diag is not None:
+        trace.append(f"[result] infelicitous: {diag.code.value}")
+        return Interpretation(
+            felicitous=False,
+            relations=(),
+            network=net.close(),
+            event_order=(),
+            diagnostics=(diag,),
+            trace=tuple(trace),
+        )
+    search = _Search(discourse, axioms, trace)
+    if search.run(0, net, []):
+        relations, final = search.complete[0]
+        order = _event_order(final, discourse)
+        rendered = ", ".join(f"{a} < {b}" for a, b in order) or "none"
+        trace.append(f"[result] felicitous; entailed event order: {rendered}")
+        return Interpretation(
+            felicitous=True,
+            relations=relations,
+            network=final,
+            event_order=order,
+            diagnostics=(),
+            trace=tuple(trace),
+        )
+    idx, code, clause_ids = search.failure
+    diag = Diagnostic.make(code, clause_ids)
+    trace.append(f"[result] infelicitous: {diag.code.value}")
+    return Interpretation(
+        felicitous=False,
+        relations=(),
+        network=net,
+        event_order=(),
+        diagnostics=(diag,),
+        trace=tuple(trace),
+    )
+
+
+def enumerate_assignments(
+    discourse: Discourse, lexicon: Lexicon, axioms: list[CausalAxiom]
+) -> list[Assignment]:
+    """Every complete coherence assignment that survives, in priority order."""
+    net, diag, trace = _tense_stage(discourse)
+    if diag is not None:
+        return []
+    search = _Search(discourse, axioms, trace, collect_all=True)
+    search.run(0, net, [])
+    return [
+        Assignment(
+            relations=relations,
+            network=final,
+            event_order=_event_order(final, discourse),
+        )
+        for relations, final in search.complete
+    ]

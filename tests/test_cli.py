@@ -92,6 +92,30 @@ def test_all_flag_lists_assignments(inputs, capsys):
     assert data["assignments"][0]["relations"][0]["kind"] == "NARRATION"
 
 
+def test_all_flag_on_infelicity_lists_none(inputs, capsys):
+    tmp_path, lexicon, axioms = inputs
+    disc = write_discourse(tmp_path, PPERF_ALONE)
+    assert main(interpret_args(disc, lexicon, axioms, "--all", "--json")) == 0
+    assert json.loads(capsys.readouterr().out)["assignments"] == []
+    assert main(interpret_args(disc, lexicon, axioms, "--all")) == 1
+    assert capsys.readouterr().out.endswith("assignments:\n  (none)\n")
+
+
+def test_internal_error_exit_code(inputs, capsys, monkeypatch):
+    """A crash exits 4 with its traceback, never 1, which means infelicitous."""
+    tmp_path, lexicon, axioms = inputs
+    disc = write_discourse(tmp_path, NARRATION)
+
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tempcoh.cli.interpret", crash)
+    assert main(interpret_args(disc, lexicon, axioms)) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: boom" in err
+
+
 def test_parse_error_exit_code(inputs, capsys):
     tmp_path, lexicon, axioms = inputs
     disc = write_discourse(tmp_path, "clause id=c1 verb=slip tense=SPAST\n")

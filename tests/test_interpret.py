@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -208,6 +209,27 @@ def test_enumerate_assignments_lists_survivors(lexicon, axioms):
 def test_enumerate_assignments_empty_for_infelicity(lexicon, axioms):
     discourse = Discourse(clauses=(clause("c1", "spill", tense=TenseForm.PPERF),))
     assert enumerate_assignments(discourse, lexicon, axioms) == []
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_long_discourse_needs_no_recursion(lexicon, axioms):
+    """The search does not recurse per pair, so length is not bounded by the stack."""
+    clauses = tuple(clause(f"c{i}", "slip") for i in range(1, 151))
+    discourse = Discourse(clauses=clauses, context_question="What happened to Max?")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        interp = interpret(discourse, lexicon, axioms)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert interp.felicitous
+    assert [r.kind for r in interp.relations] == [RelationKind.PARALLEL] * 149
 
 
 def test_json_shape_and_determinism(lexicon, axioms):

@@ -134,7 +134,7 @@ def test_duplicate_point_rejected():
 
 
 def test_second_speech_point_rejected():
-    net = TemporalNetwork.empty().add_point(TimePoint("s1", PointKind.SPEECH))
+    net = TemporalNetwork().add_point(TimePoint("s1", PointKind.SPEECH))
     with pytest.raises(DuplicatePointError):
         net.add_point(TimePoint("s2", PointKind.SPEECH))
 

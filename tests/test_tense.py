@@ -69,7 +69,7 @@ def test_past_perfect_without_antecedent():
 
 def test_simple_pasts_do_not_order_each_other():
     """Tense alone leaves two past events mutually unconstrained."""
-    net = TemporalNetwork.empty().add_point(SPEECH)
+    net = TemporalNetwork().add_point(SPEECH)
     ctx = ctx_with()
     for cid in ("c1", "c2"):
         result = resolve_tense(clause(cid), ctx)
@@ -84,7 +84,7 @@ def test_simple_pasts_do_not_order_each_other():
 
 def test_past_perfect_event_precedes_speech_after_closure():
     t1 = event_of("c1")
-    net = TemporalNetwork.empty().add_point(SPEECH).add_point(t1)
+    net = TemporalNetwork().add_point(SPEECH).add_point(t1)
     result = resolve_tense(clause("c2", TenseForm.PPERF), ctx_with(t1))
     net = net.add_point(result.event_time)
     for a, b, rel in result.new_constraints:
