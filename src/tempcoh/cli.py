@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, UnknownLemmaError, CorpusError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, UnknownLemmaError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -10,7 +10,9 @@ consistent and whose semantic prerequisites hold, in priority order.
 is a depth-first search, so a dead end later in the discourse backtracks
 to a lower-priority candidate earlier. It keeps its path on an explicit
 stack, one frame per open pair, instead of recursing per pair, so that
-Python's recursion limit does not bound the length of a discourse. A
+Python's recursion limit does not bound the length of a discourse. The
+search's network is always closed, so a clash is read off the assertion
+that causes it, and only a network the search keeps is closed again. A
 discourse with no surviving assignment is infelicitous and carries a
 diagnostic naming the deepest pair at which the search failed.
 
@@ -109,11 +111,18 @@ def _describe_constraints(result) -> str:
 def _tense_stage(
     discourse: Discourse,
 ) -> tuple[TemporalNetwork, Diagnostic | None, list[str]]:
-    """Run tense resolution over all clauses; stops at the first defect."""
+    """Run tense resolution over all clauses; stops at the first defect.
+
+    Only a past perfect orders two events, its own before the previous one, so a
+    clash needs a cycle through speech's class (speech and present events). Out of
+    it lie only future events, whose one way back, a past perfect's `anchor < speech`,
+    contradicts the stored `speech < anchor` (or `anchor = speech`) directly.
+    """
     trace: list[str] = []
     speech = _speech_point()
     net = TemporalNetwork().add_point(speech)
     ctx = TenseResolutionContext(speech_time=speech)
+    diag: Diagnostic | None = None
     for clause in discourse.clauses:
         try:
             result = resolve_tense(clause, ctx)
@@ -125,22 +134,21 @@ def _tense_stage(
             diag = Diagnostic.make(
                 DiagnosticCode.UNRESOLVED_REFERENCE_TIME, (clause.id,)
             )
-            return net.close(), diag, trace
+            break
         net = net.add_point(result.event_time)
         for a, b, rel in result.new_constraints:
             net = net.assert_constraint(a, b, rel)
-        net = net.close()
         trace.append(
             f"[tense] clause {clause.id}: minted {result.event_time.id} "
             f"({clause.tense.value}), reference time {result.reference_time.id}; "
             f"asserted {_describe_constraints(result)}"
         )
-        if not net.is_consistent():
+        if net.inconsistent:
             trace.append(f"[tense] clause {clause.id}: constraints clash")
             diag = Diagnostic.make(DiagnosticCode.TEMPORAL_CLASH, (clause.id,))
-            return net, diag, trace
+            break
         ctx = ctx.remember(result.event_time)
-    return net, None, trace
+    return net.close(), diag, trace
 
 
 def build_tense_network(discourse: Discourse) -> TemporalNetwork:
@@ -182,9 +190,11 @@ def _describe_cues(cues) -> str:
 def _survivors(discourse, axioms, pair, net, trace):
     """Yield each candidate relation of `pair` that holds on `net`, in priority order.
 
-    Each comes with the closed network it leads to; resuming the generator
-    means the search backtracked from the last one. Once no candidate is
-    left, returns why the pair failed and the ids of its clauses.
+    `net` is closed, so a candidate's constraint clashes exactly when it
+    contradicts a stored relation, which the assertion itself flags. Each
+    survivor comes with the closed network it leads to; resuming the
+    generator means the search backtracked from the last one. Once no
+    candidate is left, returns why the pair failed and the ids of its clauses.
     """
     first, second = pair
     cues = derive_cues(discourse, second)
@@ -210,8 +220,7 @@ def _survivors(discourse, axioms, pair, net, trace):
             asserted = f"; asserted {a} {rel.value} {b}"
         else:
             asserted = "; no ordering constraint"
-        trial = trial.close()
-        if not trial.is_consistent():
+        if trial.inconsistent:
             trace.append(
                 f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
                 "temporal clash"
@@ -220,7 +229,7 @@ def _survivors(discourse, axioms, pair, net, trace):
         trace.append(
             f"[coherence] pair {pair_label}: {candidate.kind.name} holds{asserted}"
         )
-        yield candidate, trial
+        yield candidate, trial.close()
         trace.append(
             f"[coherence] pair {pair_label}: backtracking from {candidate.kind.name}"
         )
@@ -444,10 +453,13 @@ def run_corpus(
 ) -> CorpusReport:
     """Interpret every `*.disc` case in `directory` against its expectation file.
 
-    Cases are processed in lexicographic filename order. A discourse file
-    without a sibling `<name>.expected.json` raises :class:`CorpusError`,
-    as does a malformed expectation.
+    Cases are processed in lexicographic filename order. A `directory`
+    that is not a directory, a discourse file without a sibling
+    `<name>.expected.json` and a malformed expectation each raise
+    :class:`CorpusError`.
     """
+    if not Path(directory).is_dir():
+        raise CorpusError(f"{directory}: not a directory")
     results: list[CaseResult] = []
     for disc_path in sorted(Path(directory).glob("*" + DISCOURSE_SUFFIX)):
         name = disc_path.name[: -len(DISCOURSE_SUFFIX)]

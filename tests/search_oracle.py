@@ -2,9 +2,12 @@
 
 This is the search `tempcoh.interpret` ran before it moved to a single
 iterative generator: `_Search`, `interpret` and `enumerate_assignments`
-below are that code unchanged, apart from imports. The differential tests
-in `test_search_oracle.py` require the package to agree with it on every
-verdict, relation, network, event order, diagnostic and trace line.
+below are that code unchanged, apart from imports. `_tense_stage` is the
+tense stage as it was before it read clashes off the assertions: it
+recloses the network after every clause and asks it whether it is still
+consistent. The differential tests in `test_search_oracle.py` require the
+package to agree with it on every verdict, relation, network, event
+order, diagnostic and trace line.
 """
 
 from __future__ import annotations
@@ -22,12 +25,55 @@ from tempcoh.interpret import (
     Diagnostic,
     DiagnosticCode,
     Interpretation,
+    _describe_constraints,
     _describe_cues,
     _event_order,
-    _tense_stage,
+    _speech_point,
 )
 from tempcoh.network import TemporalNetwork
 from tempcoh.parsing import CausalAxiom, Discourse, Lexicon
+from tempcoh.tense import (
+    TenseResolutionContext,
+    UnresolvedReferenceTimeError,
+    resolve_tense,
+)
+
+
+def _tense_stage(
+    discourse: Discourse,
+) -> tuple[TemporalNetwork, Diagnostic | None, list[str]]:
+    """Run tense resolution over all clauses; stops at the first defect."""
+    trace: list[str] = []
+    speech = _speech_point()
+    net = TemporalNetwork().add_point(speech)
+    ctx = TenseResolutionContext(speech_time=speech)
+    for clause in discourse.clauses:
+        try:
+            result = resolve_tense(clause, ctx)
+        except UnresolvedReferenceTimeError:
+            trace.append(
+                f"[tense] clause {clause.id}: {clause.tense.value} has no salient "
+                "event time to anchor its reference time"
+            )
+            diag = Diagnostic.make(
+                DiagnosticCode.UNRESOLVED_REFERENCE_TIME, (clause.id,)
+            )
+            return net.close(), diag, trace
+        net = net.add_point(result.event_time)
+        for a, b, rel in result.new_constraints:
+            net = net.assert_constraint(a, b, rel)
+        net = net.close()
+        trace.append(
+            f"[tense] clause {clause.id}: minted {result.event_time.id} "
+            f"({clause.tense.value}), reference time {result.reference_time.id}; "
+            f"asserted {_describe_constraints(result)}"
+        )
+        if not net.is_consistent():
+            trace.append(f"[tense] clause {clause.id}: constraints clash")
+            diag = Diagnostic.make(DiagnosticCode.TEMPORAL_CLASH, (clause.id,))
+            return net, diag, trace
+        ctx = ctx.remember(result.event_time)
+    return net, None, trace
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,26 @@ def test_missing_file_exit_code(inputs, capsys):
     assert main(interpret_args(missing, lexicon, axioms)) == 2
 
 
+@pytest.mark.parametrize("bad", ["discourse", "lexicon", "axioms", "corpus case"])
+def test_non_utf8_input_exit_code(inputs, capsys, bad):
+    """Input that is not UTF-8 is malformed input (exit 2), not an internal error."""
+    tmp_path, lexicon, axioms = inputs
+    disc = write_discourse(tmp_path, NARRATION)
+    (tmp_path / "case.expected.json").write_text(
+        json.dumps({"felicitous": True, "relations": [], "event_order": [], "diagnostics": []})
+    )
+    target = {"discourse": disc, "lexicon": lexicon, "axioms": axioms, "corpus case": disc}[bad]
+    target.write_bytes(b"\xff" + target.read_bytes())
+    if bad == "corpus case":
+        args = ["corpus", str(tmp_path), "--lexicon", str(lexicon), "--axioms", str(axioms)]
+    else:
+        args = interpret_args(disc, lexicon, axioms)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_unknown_axiom_lemma_exit_code(inputs, capsys):
     tmp_path, lexicon, axioms = inputs
     axioms.write_text("cause spill jump\n")
@@ -169,6 +189,17 @@ def test_corpus_failure_exit_code(inputs, capsys):
     assert main(args) == 3
     out = capsys.readouterr().out
     assert "FAIL case" in out
+
+
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_corpus_path_not_a_directory_exit_code(inputs, capsys, where):
+    tmp_path, lexicon, axioms = inputs
+    path = tmp_path / "no" / "such" / "dir" if where == "missing" else lexicon
+    args = ["corpus", str(path), "--lexicon", str(lexicon), "--axioms", str(axioms)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "cases passed" not in captured.out
 
 
 def test_corpus_json_mode(corpus_dir, capsys):

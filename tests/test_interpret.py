@@ -275,6 +275,15 @@ def test_run_corpus_empty_dir(tmp_path, lexicon, axioms):
     assert report.passed
 
 
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_run_corpus_rejects_a_path_that_is_not_a_directory(tmp_path, lexicon, axioms, where):
+    path = tmp_path / "missing"
+    if where == "file":
+        path.write_text("clause id=c1 subj=Max verb=slip tense=SPAST\n")
+    with pytest.raises(CorpusError, match="not a directory"):
+        run_corpus(path, lexicon, axioms)
+
+
 def test_run_corpus_reports_mismatch(tmp_path, corpus_dir, lexicon, axioms):
     disc = (corpus_dir / "because_simple_past.disc").read_text()
     (tmp_path / "case.disc").write_text(disc)

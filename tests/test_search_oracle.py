@@ -1,11 +1,13 @@
 """The iterative coherence search against the recursive search it replaced.
 
 `search_oracle` holds the old recursive `_Search` with its `interpret`
-and `enumerate_assignments`. Both sides must agree on every field of the
+and `enumerate_assignments`, and the old tense stage, which recloses the
+network after every clause. Both sides must agree on every field of the
 interpretation (verdict, relations, closed network, event order,
 diagnostics, and every trace line) and on the list of assignments.
 """
 
+import itertools
 import random
 
 import pytest
@@ -19,12 +21,16 @@ from tempcoh import (
     DiagnosticCode,
     Discourse,
     TenseForm,
+    UnresolvedReferenceTimeError,
+    build_tense_network,
     enumerate_assignments,
     interpret,
     parse_discourse,
 )
+from tempcoh.interpret import _tense_stage
 
 RANDOM_CASES = 1500
+MAX_TENSE_CLAUSES = 6
 QUESTION = "What bad things happened to Max today?"
 
 
@@ -80,6 +86,31 @@ def test_random_discourses_agree_with_oracle():
         "backtracked",
         "several readings",
     }
+
+
+def test_tense_stage_agrees_with_oracle_on_every_tense_sequence():
+    """Every sequence of the four tenses up to MAX_TENSE_CLAUSES clauses (5,460)."""
+    for n in range(1, MAX_TENSE_CLAUSES + 1):
+        for tenses in itertools.product(TenseForm, repeat=n):
+            discourse = Discourse(
+                clauses=tuple(
+                    Clause(id=f"c{i}", subject="Max", verb="slip", tense=tense)
+                    for i, tense in enumerate(tenses, start=1)
+                )
+            )
+            net, diag, trace = _tense_stage(discourse)
+            old_net, old_diag, old_trace = search_oracle._tense_stage(discourse)
+            assert net == old_net
+            assert diag == old_diag
+            assert trace == old_trace
+            if old_diag is not None and (
+                old_diag.code is DiagnosticCode.UNRESOLVED_REFERENCE_TIME
+            ):
+                with pytest.raises(UnresolvedReferenceTimeError) as raised:
+                    build_tense_network(discourse)
+                assert raised.value.clause_id == old_diag.clause_ids[0]
+            else:
+                assert build_tense_network(discourse) == old_net
 
 
 def _question_pperf_chain(n, tail):
