@@ -11,8 +11,9 @@ is a depth-first search, so a dead end later in the discourse backtracks
 to a lower-priority candidate earlier. It keeps its path on an explicit
 stack, one frame per open pair, instead of recursing per pair, so that
 Python's recursion limit does not bound the length of a discourse. The
-search's network is always closed, so a clash is read off the assertion
-that causes it, and only a network the search keeps is closed again. A
+search's network is always closed, and asserting onto it keeps it closed,
+so a clash is read off the assertion that causes it and the search never
+calls `close`; the tense stage closes its network once, at its end. A
 discourse with no surviving assignment is infelicitous and carries a
 diagnostic naming the deepest pair at which the search failed.
 
@@ -191,10 +192,11 @@ def _survivors(discourse, axioms, pair, net, trace):
     """Yield each candidate relation of `pair` that holds on `net`, in priority order.
 
     `net` is closed, so a candidate's constraint clashes exactly when it
-    contradicts a stored relation, which the assertion itself flags. Each
-    survivor comes with the closed network it leads to; resuming the
-    generator means the search backtracked from the last one. Once no
-    candidate is left, returns why the pair failed and the ids of its clauses.
+    contradicts a stored relation, which the assertion itself flags, and
+    otherwise the assertion returns a closed network. Each survivor comes
+    with that network, not closed again; resuming the generator means the
+    search backtracked from the last one. Once no candidate is left,
+    returns why the pair failed and the ids of its clauses.
     """
     first, second = pair
     cues = derive_cues(discourse, second)
@@ -229,7 +231,7 @@ def _survivors(discourse, axioms, pair, net, trace):
         trace.append(
             f"[coherence] pair {pair_label}: {candidate.kind.name} holds{asserted}"
         )
-        yield candidate, trial.close()
+        yield candidate, trial
         trace.append(
             f"[coherence] pair {pair_label}: backtracking from {candidate.kind.name}"
         )
@@ -391,6 +393,10 @@ _RELATION_KINDS = {kind.value for kind in RelationKind}
 _DIAGNOSTIC_CODES = {code.value for code in DiagnosticCode}
 
 
+def _strings(values) -> bool:
+    return all(isinstance(value, str) for value in values)
+
+
 def _malformed(path: Path, why: str) -> CorpusError:
     return CorpusError(f"{path.name}: malformed expectation: {why}")
 
@@ -409,20 +415,29 @@ def load_expectation(path: Path) -> dict[str, Any]:
         )
     if not isinstance(data["felicitous"], bool):
         raise _malformed(path, "felicitous must be a boolean")
+    for key in ("relations", "event_order", "diagnostics"):
+        if not isinstance(data[key], list):
+            raise _malformed(path, f"{key} must be a list")
     for rel in data["relations"]:
         if not isinstance(rel, dict) or set(rel) != {"kind", "first", "second"}:
             raise _malformed(path, "each relation needs kind/first/second")
-        if rel["kind"] not in _RELATION_KINDS:
+        if not _strings((rel["first"], rel["second"])):
+            raise _malformed(path, "a relation's first and second must be clause ids")
+        if not isinstance(rel["kind"], str) or rel["kind"] not in _RELATION_KINDS:
             raise _malformed(path, f"unknown relation kind {rel['kind']!r}")
     for entry in data["event_order"]:
         if not isinstance(entry, dict) or set(entry) != {"before", "after"}:
             raise _malformed(path, "each event_order entry needs before/after")
+        if not _strings((entry["before"], entry["after"])):
+            raise _malformed(path, "an event_order entry's before and after must be point ids")
     for diag in data["diagnostics"]:
         if not isinstance(diag, dict) or not {"code", "clauses"} <= set(diag):
             raise _malformed(path, "each diagnostic needs code and clauses")
         if not set(diag) <= {"code", "clauses", "message"}:
             raise _malformed(path, "diagnostic keys are code/clauses/message")
-        if diag["code"] not in _DIAGNOSTIC_CODES:
+        if not isinstance(diag["clauses"], list) or not _strings(diag["clauses"]):
+            raise _malformed(path, "a diagnostic's clauses must be a list of clause ids")
+        if not isinstance(diag["code"], str) or diag["code"] not in _DIAGNOSTIC_CODES:
             raise _malformed(path, f"unknown diagnostic code {diag['code']!r}")
     return data
 

@@ -9,17 +9,20 @@ the lexicographically sorted point pair. Absent pairs are unconstrained.
 Networks are immutable values. Asserting a constraint computes the meet
 with whatever is already known about the pair; a contradictory meet
 marks the result inconsistent instead of raising, so callers can treat
-a clash as evidence against a hypothesis rather than a crash. `close`
-computes the full set of entailed constraints (and detects derived
-inconsistencies); `query` reports the strongest relation that holds in
-every total preorder satisfying the constraints.
+a clash as evidence against a hypothesis rather than a crash. One step,
+`_entail`, adds a constraint and all it entails to a closed store, so a
+closed network stays closed under assertion, and `close`, which computes
+the full set of entailed constraints (and detects derived inconsistencies),
+is a fold of that step. `query` reports the strongest relation that holds
+in every total preorder satisfying the constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable
+from itertools import product
+from typing import Collection, Iterable
 
 
 class PointKind(Enum):
@@ -76,19 +79,72 @@ def _canonical_entry(a: str, b: str, rel: PointRelation) -> tuple[tuple[str, str
     return (a, b), PointRelation.PRECEDES
 
 
+_Store = dict[tuple[str, str], PointRelation]
+
+
+def _relation(store: _Store, a: str, b: str) -> PointRelation:
+    if a == b:
+        return PointRelation.EQUALS
+    if store.get((a, b)) is PointRelation.PRECEDES:
+        return PointRelation.PRECEDES
+    if store.get((b, a)) is PointRelation.PRECEDES:
+        return PointRelation.FOLLOWS
+    if store.get((min(a, b), max(a, b))) is PointRelation.EQUALS:
+        return PointRelation.EQUALS
+    return PointRelation.UNCONSTRAINED
+
+
+def _side(points: Collection[str], store: _Store, x: str, after: bool) -> list[str]:
+    """x and the points p <= x (p >= x if `after`) in a closed store.
+
+    A stored (p, x) is p < x or p = x; a stored (x, p) is x < p unless it is
+    `=`, which is stored under the sorted pair.
+    """
+    if x not in points:
+        return [x]
+    eq = PointRelation.EQUALS
+    if after:
+        return [x] + [q for q in points if (x, q) in store or q < x and store.get((q, x)) is eq]
+    return [x] + [p for p in points if (p, x) in store or x < p and store.get((x, p)) is eq]
+
+
+def _entail(points: Collection[str], store: _Store, x: str, y: str, rel: PointRelation) -> None:
+    """Add `x rel y` (rel < or =) and every pair it entails to `store`, in place.
+
+    `store` must be closed and consistent, x and y unordered in it, and
+    `points` must hold every point it relates to another. The new pairs are
+    p ? q for p <= x and y <= q, for `=` also for p <= y and x <= q: strict
+    unless both are in the merged class. None was ordered the other way.
+    """
+    below_x, above_y = _side(points, store, x, False), _side(points, store, y, True)
+    if rel is PointRelation.PRECEDES:
+        store.update(dict.fromkeys(product(below_x, above_y), rel))
+        return
+    below_y, above_x = _side(points, store, y, False), _side(points, store, x, True)
+    x_class = set(below_x).intersection(above_x)
+    y_class = set(below_y).intersection(above_y)
+    for below, above in ((below_x, above_y), (below_y, above_x)):
+        store.update(dict.fromkeys(product(below, above), PointRelation.PRECEDES))
+    # Both products ordered the merged class within itself; it is one class.
+    for p in x_class:
+        for q in y_class:
+            del store[p, q], store[q, p]
+            store[(p, q) if p < q else (q, p)] = rel
+
+
 @dataclass(frozen=True)
 class TemporalNetwork:
     """Immutable constraint store over time points.
 
     `constraints` holds the canonical form described in the module
-    docstring. `closed` records whether the store currently equals its
-    own transitive closure; `inconsistent` records that no total
-    preorder satisfies the asserted constraints (set either by a direct
-    contradictory assertion or by `close`).
+    docstring. `closed` records whether the store equals its own
+    transitive closure, which assertion keeps; `inconsistent` records that
+    no total preorder satisfies the asserted constraints (set either by a
+    direct contradictory assertion or by `close`).
     """
 
     points: dict[str, TimePoint] = field(default_factory=dict)
-    constraints: dict[tuple[str, str], PointRelation] = field(default_factory=dict)
+    constraints: _Store = field(default_factory=dict)
     inconsistent: bool = False
     closed: bool = False
 
@@ -117,113 +173,57 @@ class TemporalNetwork:
             raise UnknownPointError(pid)
         return pid
 
-    def _stored(self, a: str, b: str) -> PointRelation:
-        if a == b:
-            return PointRelation.EQUALS
-        if self.constraints.get((a, b)) is PointRelation.PRECEDES:
-            return PointRelation.PRECEDES
-        if self.constraints.get((b, a)) is PointRelation.PRECEDES:
-            return PointRelation.FOLLOWS
-        if self.constraints.get((min(a, b), max(a, b))) is PointRelation.EQUALS:
-            return PointRelation.EQUALS
-        return PointRelation.UNCONSTRAINED
-
     def assert_constraint(
         self, a: "TimePoint | str", b: "TimePoint | str", rel: PointRelation
     ) -> "TemporalNetwork":
         """Return a network knowing the meet of `rel` and the current (a, b) relation.
 
-        A contradictory meet (for example a < b against a = b) returns a
-        network flagged inconsistent; the stored constraints are left as
-        they were.
+        On a closed, consistent network the result is closed too; otherwise
+        the constraint is only stored, and `close` derives the rest. A
+        contradictory meet (for example a < b against a = b) returns a network
+        flagged inconsistent and not closed, so `close` empties its store.
         """
-        a_id = self._resolve(a)
-        b_id = self._resolve(b)
+        a_id, b_id = self._resolve(a), self._resolve(b)
         if rel is PointRelation.UNCONSTRAINED:
             return self
-        if a_id == b_id:
-            if rel is PointRelation.EQUALS:
-                return self
-            return replace(self, inconsistent=True)
-        current = self._stored(a_id, b_id)
+        current = _relation(self.constraints, a_id, b_id)
         if current is rel:
             return self
         if current is not PointRelation.UNCONSTRAINED:
-            return replace(self, inconsistent=True)
-        key, stored = _canonical_entry(a_id, b_id, rel)
+            return replace(self, inconsistent=True, closed=False)
+        (x, y), stored = _canonical_entry(a_id, b_id, rel)
         constraints = dict(self.constraints)
-        constraints[key] = stored
+        if self.closed and not self.inconsistent:
+            _entail(self.points, constraints, x, y, stored)
+            return replace(self, constraints=constraints)
+        constraints[x, y] = stored
         return replace(self, constraints=constraints, closed=False)
 
     def close(self) -> "TemporalNetwork":
         """Return the transitively closed network, flagging derived clashes.
 
-        Equality classes are collapsed first; the strict precedences then
-        form a digraph over the classes, and the network is consistent
-        exactly when that digraph is acyclic and no strict edge stays
-        inside a class. The closed store holds one entry per entailed
-        pair, which makes `query` a lookup. An inconsistent network
-        closes to a canonical empty store (the residual constraints
-        carry no information), so equal constraint sets close to equal
-        networks regardless of assertion order.
+        A fold of `_entail` over the stored constraints into one fresh store,
+        in which a clash shows as a contradictory meet. The closed store holds
+        one entry per entailed pair, which makes `query` a lookup. An
+        inconsistent network closes to a canonical empty store (the residual
+        constraints carry no information), so equal constraint sets close to
+        equal networks regardless of assertion order.
         """
         if self.closed:
             return self
         if self.inconsistent:
             return replace(self, constraints={}, closed=True)
-
-        parent = {pid: pid for pid in self.points}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        store: _Store = {}
+        touched: set[str] = set()  # the points `store` relates to another
         for (a, b), rel in self.constraints.items():
-            if rel is PointRelation.EQUALS:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    # Attach the larger root under the smaller for determinism.
-                    lo, hi = (ra, rb) if ra < rb else (rb, ra)
-                    parent[hi] = lo
-
-        edges: dict[str, set[str]] = {}
-        for (a, b), rel in self.constraints.items():
-            if rel is PointRelation.PRECEDES:
-                ra, rb = find(a), find(b)
-                if ra == rb:
-                    return replace(self, constraints={}, inconsistent=True, closed=True)
-                edges.setdefault(ra, set()).add(rb)
-
-        reach: dict[str, set[str]] = {}
-        roots = {find(pid) for pid in self.points}
-        for root in roots:
-            seen: set[str] = set()
-            stack = list(edges.get(root, ()))
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(edges.get(node, ()))
-            if root in seen:
+            current = _relation(store, a, b)
+            if current is rel:
+                continue
+            if current is not PointRelation.UNCONSTRAINED:
                 return replace(self, constraints={}, inconsistent=True, closed=True)
-            reach[root] = seen
-
-        ids = sorted(self.points)
-        constraints: dict[tuple[str, str], PointRelation] = {}
-        for i, a in enumerate(ids):
-            ra = find(a)
-            for b in ids[i + 1 :]:
-                rb = find(b)
-                if ra == rb:
-                    constraints[(a, b)] = PointRelation.EQUALS
-                elif rb in reach[ra]:
-                    constraints[(a, b)] = PointRelation.PRECEDES
-                elif ra in reach[rb]:
-                    constraints[(b, a)] = PointRelation.PRECEDES
-        return replace(self, constraints=constraints, closed=True)
+            _entail(touched, store, a, b, rel)
+            touched.update((a, b))
+        return replace(self, constraints=store, closed=True)
 
     def is_consistent(self) -> bool:
         """True iff at least one total preorder satisfies every constraint."""
@@ -237,4 +237,4 @@ class TemporalNetwork:
             raise InconsistentNetworkError("cannot query an inconsistent network")
         a_id = net._resolve(a)
         b_id = net._resolve(b)
-        return net._stored(a_id, b_id)
+        return _relation(net.constraints, a_id, b_id)

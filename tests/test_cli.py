@@ -202,6 +202,37 @@ def test_corpus_path_not_a_directory_exit_code(inputs, capsys, where):
     assert "cases passed" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"felicitous": True, "relations": 5, "event_order": [], "diagnostics": []},
+        {
+            "felicitous": False,
+            "relations": [],
+            "event_order": [],
+            "diagnostics": [{"code": "TEMPORAL_CLASH", "clauses": 7}],
+        },
+        {
+            "felicitous": True,
+            "relations": [{"kind": "NARRATION", "first": 1, "second": "c2"}],
+            "event_order": [{"before": "t_c1", "after": "t_c2"}],
+            "diagnostics": [],
+        },
+    ],
+    ids=["relations not a list", "clauses not a list", "clause id not a string"],
+)
+def test_corpus_malformed_expectation_exit_code(inputs, capsys, body):
+    tmp_path, lexicon, axioms = inputs
+    write_discourse(tmp_path, NARRATION)
+    (tmp_path / "case.expected.json").write_text(json.dumps(body))
+    args = ["corpus", str(tmp_path), "--lexicon", str(lexicon), "--axioms", str(axioms)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "malformed expectation" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_corpus_json_mode(corpus_dir, capsys):
     args = [
         "corpus",

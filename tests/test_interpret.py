@@ -15,6 +15,7 @@ from tempcoh import (
     Discourse,
     PointRelation,
     RelationKind,
+    TemporalNetwork,
     TenseForm,
     build_tense_network,
     enumerate_assignments,
@@ -230,6 +231,24 @@ def test_long_discourse_needs_no_recursion(lexicon, axioms):
         sys.setrecursionlimit(limit)
     assert interp.felicitous
     assert [r.kind for r in interp.relations] == [RelationKind.PARALLEL] * 149
+
+
+def test_search_closes_no_network(lexicon, axioms, monkeypatch):
+    """Asserting onto a closed network keeps it closed: only the tense stage closes one."""
+    closing = []
+    close = TemporalNetwork.close
+
+    def counted(net):
+        if not net.closed:
+            closing.append(net)
+        return close(net)
+
+    monkeypatch.setattr(TemporalNetwork, "close", counted)
+    clauses = tuple(clause(f"c{i}", "slip") for i in range(1, 51))
+    interp = interpret(Discourse(clauses=clauses), lexicon, axioms)
+    assert [r.kind for r in interp.relations] == [RelationKind.NARRATION] * 49
+    assert len(interp.event_order) == 50 * 49 // 2
+    assert len(closing) == 1
 
 
 def test_json_shape_and_determinism(lexicon, axioms):

@@ -43,6 +43,16 @@ def test_direct_contradiction():
     assert not net.is_consistent()
 
 
+def test_contradiction_on_a_closed_network_closes_to_the_empty_store():
+    """The clash empties the store whether or not the network was closed before it."""
+    stepwise = net_over("a", "b").assert_constraint("a", "b", P).close()
+    stepwise = stepwise.assert_constraint("b", "a", P).close()
+    at_once = net_over("a", "b").assert_constraint("a", "b", P).assert_constraint("b", "a", P)
+    assert stepwise.inconsistent
+    assert stepwise.constraints == {}
+    assert stepwise == at_once.close()
+
+
 def test_equals_against_chain_inconsistent_after_closure():
     # Oracle-checked: no ranking of {a, b, c} satisfies a<b, b<c, c=a.
     net = net_over("a", "b", "c")
@@ -201,3 +211,21 @@ def test_matches_preorder_oracle(seed):
         for i in range(n):
             for j in range(n):
                 assert net.query(f"p{i}", f"p{j}") is oracle_query(sat, i, j)
+
+
+@given(seeds)
+@settings(max_examples=300)
+def test_assertion_onto_a_closed_network_matches_preorder_oracle(seed):
+    """Asserting onto a closed network keeps it closed, equal to the lazy closure."""
+    net, n, constraints = random_network(random.Random(seed))
+    step = TemporalNetwork.over(net.points.values()).close()
+    for i, j, rel in constraints:
+        step = step.assert_constraint(f"p{i}", f"p{j}", rel)
+        assert step.closed or step.inconsistent
+    assert step.close() == net.close()
+    sat = satisfying(n, constraints)
+    assert step.is_consistent() == (len(sat) > 0)
+    if len(sat) > 0:
+        for i in range(n):
+            for j in range(n):
+                assert step.query(f"p{i}", f"p{j}") is oracle_query(sat, i, j)
