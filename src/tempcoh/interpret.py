@@ -18,9 +18,11 @@ discourse with no surviving assignment is infelicitous and carries a
 diagnostic naming the deepest pair at which the search failed.
 
 The JSON output is deterministic: stable key order, two-space indent,
-newline terminated. Corpus expectation files use the same shape minus
-the diagnostic message text, so expectations compare byte-for-byte
-against the canonicalized output.
+newline terminated, non-ASCII escaped; its bytes are those of `json.dumps`
+with an indent of 2, plus a newline. `event_order` is read off the closed
+network in one call, `TemporalNetwork.precedences`. Corpus expectation
+files use the same shape minus the diagnostic message text, so
+expectations compare byte-for-byte against the canonicalized output.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -39,7 +42,7 @@ from .coherence import (
     relation_constraint,
     semantic_support,
 )
-from .network import PointKind, PointRelation, TemporalNetwork, TimePoint
+from .network import PointKind, TemporalNetwork, TimePoint
 from .parsing import CausalAxiom, Discourse, Lexicon, parse_discourse
 from .tense import (
     TenseResolutionContext,
@@ -168,16 +171,7 @@ def _event_order(
     net: TemporalNetwork, discourse: Discourse
 ) -> tuple[tuple[str, str], ...]:
     """Entailed precedences between event points, in discourse order."""
-    ids = [event_point_id(c.id) for c in discourse.clauses]
-    order: list[tuple[str, str]] = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            rel = net.query(a, b)
-            if rel is PointRelation.PRECEDES:
-                order.append((a, b))
-            elif rel is PointRelation.FOLLOWS:
-                order.append((b, a))
-    return tuple(order)
+    return net.precedences([event_point_id(c.id) for c in discourse.clauses])
 
 
 def _describe_cues(cues) -> str:
@@ -358,8 +352,39 @@ def interpretation_to_dict(interp: Interpretation) -> dict[str, Any]:
     }
 
 
+def _render(value: Any, newline: str) -> str:
+    """`value` laid out as `json.dumps` lays it out with an indent of 2.
+
+    `newline` is the line break plus the indent of the line `value` is on.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_render(item, inner)}"
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
+
+
 def render_json(data: Mapping[str, Any]) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """The bytes of `json.dumps` with an indent of 2, plus a newline.
+
+    Given an indent, Python 3.11's `json.dumps` encodes in pure Python;
+    `_render` builds the same layout itself and leaves strings to
+    `encode_basestring_ascii`, the C escaper `json.dumps` uses. Keys must
+    be strings, as in every dict the package renders.
+    """
+    return _render(data, "\n") + "\n"
 
 
 class CorpusError(ValueError):

@@ -14,7 +14,9 @@ a clash as evidence against a hypothesis rather than a crash. One step,
 closed network stays closed under assertion, and `close`, which computes
 the full set of entailed constraints (and detects derived inconsistencies),
 is a fold of that step. `query` reports the strongest relation that holds
-in every total preorder satisfying the constraints.
+in every total preorder satisfying the constraints; `precedences` lists
+every entailed precedence among a list of points, checking the network
+and the ids once rather than once per pair.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import product
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 
 class PointKind(Enum):
@@ -238,3 +240,27 @@ class TemporalNetwork:
         a_id = net._resolve(a)
         b_id = net._resolve(b)
         return _relation(net.constraints, a_id, b_id)
+
+    def precedences(self, ids: Sequence[str]) -> tuple[tuple[str, str], ...]:
+        """Each entailed `a < b` between two of `ids`, as `(a, b)`.
+
+        Pairs are taken in list order: for i < j, `(ids[i], ids[j])` if the
+        first precedes, `(ids[j], ids[i])` if it follows, nothing otherwise.
+        The result is what `query` gives pair by pair, and it raises as
+        `query` does, but it closes and checks the network and the ids once.
+        """
+        net = self if self.closed else self.close()
+        if net.inconsistent:
+            raise InconsistentNetworkError("cannot query an inconsistent network")
+        ids = [net._resolve(pid) for pid in ids]
+        get = net.constraints.get
+        precedes = PointRelation.PRECEDES
+        order: list[tuple[str, str]] = []
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                # `a = b` is stored as `=`, never as `<`, under either order.
+                if get((a, b)) is precedes:
+                    order.append((a, b))
+                elif get((b, a)) is precedes:
+                    order.append((b, a))
+        return tuple(order)

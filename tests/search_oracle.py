@@ -5,9 +5,11 @@ iterative generator: `_Search`, `interpret` and `enumerate_assignments`
 below are that code unchanged, apart from imports. `_tense_stage` is the
 tense stage as it was before it read clashes off the assertions: it
 recloses the network after every clause and asks it whether it is still
-consistent. The differential tests in `test_search_oracle.py` require the
-package to agree with it on every verdict, relation, network, event
-order, diagnostic and trace line.
+consistent. `_event_order` reads the event order off the network as it
+did before `TemporalNetwork.precedences`: one `query` per pair. The
+differential tests in `test_search_oracle.py` require the package to
+agree with it on every verdict, relation, network, event order,
+diagnostic and trace line.
 """
 
 from __future__ import annotations
@@ -27,16 +29,32 @@ from tempcoh.interpret import (
     Interpretation,
     _describe_constraints,
     _describe_cues,
-    _event_order,
     _speech_point,
 )
-from tempcoh.network import TemporalNetwork
+from tempcoh.network import PointRelation, TemporalNetwork
 from tempcoh.parsing import CausalAxiom, Discourse, Lexicon
 from tempcoh.tense import (
     TenseResolutionContext,
     UnresolvedReferenceTimeError,
+    event_point_id,
     resolve_tense,
 )
+
+
+def _event_order(
+    net: TemporalNetwork, discourse: Discourse
+) -> tuple[tuple[str, str], ...]:
+    """Entailed precedences between event points, in discourse order."""
+    ids = [event_point_id(c.id) for c in discourse.clauses]
+    order: list[tuple[str, str]] = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            rel = net.query(a, b)
+            if rel is PointRelation.PRECEDES:
+                order.append((a, b))
+            elif rel is PointRelation.FOLLOWS:
+                order.append((b, a))
+    return tuple(order)
 
 
 def _tense_stage(

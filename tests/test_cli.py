@@ -266,6 +266,17 @@ def test_module_entry_point(corpus_dir):
         ],
         capture_output=True,
         text=True,
+        cwd=corpus_dir.parent / "src",
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["felicitous"] is True
+
+
+def test_readme_json_example_is_the_program_output(corpus_dir, capsys):
+    readme = (corpus_dir.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Output JSON\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    disc = corpus_dir / "because_pperf.disc"
+    args = interpret_args(disc, corpus_dir / "lexicon.txt", corpus_dir / "axioms.txt", "--json")
+    assert main(args) == 0
+    assert capsys.readouterr().out == example

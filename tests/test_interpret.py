@@ -263,6 +263,53 @@ def test_json_shape_and_determinism(lexicon, axioms):
     assert rendered == again
 
 
+def spast_chain(n):
+    """n simple-past clauses with no cue: a narration chain ordering every event."""
+    return Discourse(clauses=tuple(clause(f"c{i}", "slip") for i in range(1, n + 1)))
+
+
+def test_event_order_makes_no_query_per_pair(lexicon, axioms, monkeypatch):
+    """`event_order` is read off the closed network at once, not by 1,225 `query` calls."""
+    calls = []
+    query = TemporalNetwork.query
+
+    def counted(net, a, b):
+        calls.append((a, b))
+        return query(net, a, b)
+
+    monkeypatch.setattr(TemporalNetwork, "query", counted)
+    interp = interpret(spast_chain(50), lexicon, axioms)
+    assert len(interp.event_order) == 50 * 49 // 2
+    assert calls == []
+
+
+def test_render_json_does_not_use_the_pure_python_encoder(lexicon, axioms, monkeypatch):
+    data = interpretation_to_dict(interpret(spast_chain(50), lexicon, axioms))
+    expected = json.dumps(data, indent=2) + "\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps fell back to its pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert render_json(data) == expected
+
+
+# Escaped by name, by \uXXXX, as a surrogate pair, or not at all.
+SPECIAL_CHARS = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\ud800\udbff\udc00\udfff\uffff\U0001f600'
+json_strings = st.text(st.characters(exclude_categories=())) | st.text(SPECIAL_CHARS)
+json_values = st.recursive(
+    st.booleans() | st.none() | st.integers() | json_strings,
+    lambda children: st.lists(children) | st.dictionaries(json_strings, children),
+    max_leaves=20,
+)
+
+
+@given(st.lists(json_values) | st.dictionaries(json_strings, json_values))
+def test_render_json_matches_json_dumps(value):
+    """The reference: `json.dumps` with an indent of 2, plus a newline."""
+    assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
 def test_felicity_soundness_on_goldens(corpus_dir, lexicon, axioms):
     from tempcoh import parse_discourse
 

@@ -1,8 +1,9 @@
 """The iterative coherence search against the recursive search it replaced.
 
 `search_oracle` holds the old recursive `_Search` with its `interpret`
-and `enumerate_assignments`, and the old tense stage, which recloses the
-network after every clause. Both sides must agree on every field of the
+and `enumerate_assignments`, the old tense stage, which recloses the
+network after every clause, and the old event order, one `query` per
+pair of events. Both sides must agree on every field of the
 interpretation (verdict, relations, closed network, event order,
 diagnostics, and every trace line) and on the list of assignments.
 """
