@@ -1,8 +1,8 @@
 """Command-line interface: single-discourse interpretation and corpus regression.
 
 Exit codes: 0 success, 1 infelicitous verdict in plain (non `--json`)
-single-file mode, 2 unreadable or malformed input, 3 corpus failures,
-4 internal error (the traceback goes to stderr).
+single-file mode, 2 unreadable or malformed input (the message names the
+file), 3 corpus failures, 4 internal error (the traceback goes to stderr).
 JSON goes to stdout; `--trace` derivation lines go to stderr so stdout
 stays machine-readable.
 """
@@ -32,9 +32,21 @@ from .parsing import (
 )
 
 
+class _InputError(ValueError):
+    """An input file that is not UTF-8 or does not parse; the message names the file."""
+
+
+def _parse(parse, path: Path, *args):
+    """`parse` applied to the text of `path`, a leading byte-order mark dropped."""
+    try:
+        return parse(path.read_text(encoding="utf-8-sig"), *args)
+    except (UnicodeDecodeError, ParseError) as exc:
+        raise _InputError(f"{path}: {exc}") from exc
+
+
 def _load_inputs(args):
-    lexicon = parse_lexicon(args.lexicon.read_text(encoding="utf-8"))
-    axioms = parse_axioms(args.axioms.read_text(encoding="utf-8"))
+    lexicon = _parse(parse_lexicon, args.lexicon)
+    axioms = _parse(parse_axioms, args.axioms)
     validate_axioms(axioms, lexicon)
     return lexicon, axioms
 
@@ -50,7 +62,7 @@ def _relation_line(rel) -> str:
 
 def _cmd_interpret(args) -> int:
     lexicon, axioms = _load_inputs(args)
-    discourse = parse_discourse(args.discourse.read_text(encoding="utf-8"), lexicon)
+    discourse = _parse(parse_discourse, args.discourse, lexicon)
     interp = interpret(discourse, lexicon, axioms)
     if args.trace:
         _print_trace(interp.trace)
@@ -157,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, ParseError, UnknownLemmaError, CorpusError) as exc:
+    except (OSError, _InputError, UnknownLemmaError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -8,7 +8,11 @@ pair's candidate relations in cue-priority order: one generator,
 consistent and whose semantic prerequisites hold, in priority order.
 `interpret` takes the first and `enumerate_assignments` all of them. It
 is a depth-first search, so a dead end later in the discourse backtracks
-to a lower-priority candidate earlier. It keeps its path on an explicit
+to a lower-priority candidate earlier. A pair's cues, candidates, their
+semantic support and constraints, and its trace lines do not depend on
+what the search chose before it, so each pair is planned once per
+discourse and the search replays the plan, asserting only the
+constraints, whenever it enters the pair. It keeps its path on an explicit
 stack, one frame per open pair, instead of recursing per pair, so that
 Python's recursion limit does not bound the length of a discourse. The
 search's network is always closed, and asserting onto it keeps it closed,
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .coherence import (
     CoherenceRelation,
@@ -42,8 +46,8 @@ from .coherence import (
     relation_constraint,
     semantic_support,
 )
-from .network import PointKind, TemporalNetwork, TimePoint
-from .parsing import CausalAxiom, Discourse, Lexicon, parse_discourse
+from .network import PointKind, PointRelation, TemporalNetwork, TimePoint
+from .parsing import CausalAxiom, Discourse, Lexicon, ParseError, parse_discourse
 from .tense import (
     TenseResolutionContext,
     UnresolvedReferenceTimeError,
@@ -182,79 +186,113 @@ def _describe_cues(cues) -> str:
     )
 
 
-def _survivors(discourse, axioms, pair, net, trace):
-    """Yield each candidate relation of `pair` that holds on `net`, in priority order.
+class _Step(NamedTuple):
+    """A supported candidate of a pair, and the trace lines around trying it."""
 
-    `net` is closed, so a candidate's constraint clashes exactly when it
-    contradicts a stored relation, which the assertion itself flags, and
-    otherwise the assertion returns a closed network. Each survivor comes
-    with that network, not closed again; resuming the generator means the
-    search backtracked from the last one. Once no candidate is left,
-    returns why the pair failed and the ids of its clauses.
-    """
+    rejected: tuple[str, ...]  # `no semantic support` lines of the candidates listed before it
+    candidate: CoherenceRelation
+    constraint: tuple[tuple[str, str], PointRelation] | None  # its `relation_constraint`
+    clash: str
+    holds: str
+    backtrack: str
+
+
+class _PairPlan(NamedTuple):
+    """What the search needs of one adjacent pair that does not depend on the network."""
+
+    opening: tuple[str, str]  # the pair's `[cues]` and `candidates:` lines
+    steps: tuple[_Step, ...]  # its supported candidates, in priority order
+    closing: tuple[str, ...]  # rejection lines after the last supported candidate
+    failure: tuple[DiagnosticCode, tuple[str, str]]  # why the pair fails, and its clause ids
+
+
+def _plan(discourse, axioms, pair) -> _PairPlan:
+    """The plan of `pair`: its candidates, their support and constraints, and its trace lines."""
     first, second = pair
     cues = derive_cues(discourse, second)
     candidates = candidate_relations(pair, cues, axioms)
     pair_label = f"({first.id}, {second.id})"
-    trace.append(f"[cues] pair {pair_label}: {_describe_cues(cues)}")
+    prefix = f"[coherence] pair {pair_label}: "
     names = ", ".join(c.kind.name for c in candidates) or "none"
-    trace.append(f"[coherence] pair {pair_label}: candidates: {names}")
-    any_supported = False
+    opening = (f"[cues] pair {pair_label}: {_describe_cues(cues)}", f"{prefix}candidates: {names}")
+    steps = []
+    rejected: list[str] = []  # unsupported candidates since the last supported one
     for candidate in candidates:
+        name = candidate.kind.name
         if not semantic_support(candidate, discourse, axioms):
-            trace.append(
-                f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
-                "no semantic support"
-            )
+            rejected.append(f"{prefix}{name} rejected, no semantic support")
             continue
-        any_supported = True
-        trial = net
         constraint = relation_constraint(candidate)
         if constraint is not None:
             (a, b), rel = constraint
-            trial = trial.assert_constraint(a, b, rel)
             asserted = f"; asserted {a} {rel.value} {b}"
         else:
             asserted = "; no ordering constraint"
-        if trial.inconsistent:
-            trace.append(
-                f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
-                "temporal clash"
+        steps.append(
+            _Step(
+                tuple(rejected),
+                candidate,
+                constraint,
+                f"{prefix}{name} rejected, temporal clash",
+                f"{prefix}{name} holds{asserted}",
+                f"{prefix}backtracking from {name}",
             )
+        )
+        rejected.clear()
+    code = DiagnosticCode.TEMPORAL_CLASH if steps else DiagnosticCode.NO_COHERENCE_RELATION
+    return _PairPlan(opening, tuple(steps), tuple(rejected), (code, (first.id, second.id)))
+
+
+def _survivors(plan: _PairPlan, net, trace):
+    """Yield each candidate relation of a pair that holds on `net`, in priority order.
+
+    Only the assertions depend on `net`; everything else, trace lines
+    included, comes from the pair's plan. `net` is closed, so a candidate's
+    constraint clashes exactly when it contradicts a stored relation, which
+    the assertion itself flags, and otherwise the assertion returns a closed
+    network. Each survivor comes with that network, not closed again;
+    resuming the generator means the search backtracked from the last one.
+    Once no candidate is left, returns why the pair failed and the ids of
+    its clauses.
+    """
+    trace.extend(plan.opening)
+    for rejected, candidate, constraint, clash, holds, backtrack in plan.steps:
+        trace.extend(rejected)
+        trial = net
+        if constraint is not None:
+            (a, b), rel = constraint
+            trial = trial.assert_constraint(a, b, rel)
+        if trial.inconsistent:
+            trace.append(clash)
             continue
-        trace.append(
-            f"[coherence] pair {pair_label}: {candidate.kind.name} holds{asserted}"
-        )
+        trace.append(holds)
         yield candidate, trial
-        trace.append(
-            f"[coherence] pair {pair_label}: backtracking from {candidate.kind.name}"
-        )
-    code = (
-        DiagnosticCode.TEMPORAL_CLASH
-        if any_supported
-        else DiagnosticCode.NO_COHERENCE_RELATION
-    )
-    return code, (first.id, second.id)
+        trace.append(backtrack)
+    trace.extend(plan.closing)
+    return plan.failure
 
 
 def _search(discourse, axioms, net, trace):
     """Depth-first search over per-pair candidate relations in priority order.
 
+    Plans every adjacent pair once, then replays a pair's plan each time
+    the search enters it, so a search node only asserts constraints.
     Yields every complete assignment that survives, with its closed
     network, and appends the derivation to `trace`. Once exhausted,
     returns the diagnostic code and clause ids of the deepest pair at
     which a branch died, or None if none died.
     """
-    pairs = list(zip(discourse.clauses, discourse.clauses[1:]))
+    clauses = discourse.clauses
+    plans = [_plan(discourse, axioms, pair) for pair in zip(clauses, clauses[1:])]
     frames = []  # one `_survivors` generator per open pair, outermost first
     chosen = []  # the relation taken at each open pair
     deepest, failure = -1, None
     while True:
         # `net` is the closed network after the relations in `chosen`.
-        if len(chosen) == len(pairs):
+        if len(chosen) == len(plans):
             yield tuple(chosen), net
         else:
-            frames.append(_survivors(discourse, axioms, pairs[len(chosen)], net, trace))
+            frames.append(_survivors(plans[len(chosen)], net, trace))
         # Advance the innermost open pair, dropping those with no survivor left.
         while frames:
             depth = len(frames) - 1
@@ -388,7 +426,7 @@ def render_json(data: Mapping[str, Any]) -> str:
 
 
 class CorpusError(ValueError):
-    """A corpus case is unusable: missing or malformed expectation file."""
+    """A corpus case is unusable: a malformed discourse or a missing or malformed expectation."""
 
 
 def comparison_form(data: Mapping[str, Any]) -> dict[str, Any]:
@@ -423,14 +461,14 @@ def _strings(values) -> bool:
 
 
 def _malformed(path: Path, why: str) -> CorpusError:
-    return CorpusError(f"{path.name}: malformed expectation: {why}")
+    return CorpusError(f"{path}: malformed expectation: {why}")
 
 
 def load_expectation(path: Path) -> dict[str, Any]:
     """Load and validate one expectation file."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _malformed(path, f"invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise _malformed(path, "top level must be an object")
@@ -495,8 +533,9 @@ def run_corpus(
 
     Cases are processed in lexicographic filename order. A `directory`
     that is not a directory, a discourse file without a sibling
-    `<name>.expected.json` and a malformed expectation each raise
-    :class:`CorpusError`.
+    `<name>.expected.json`, a malformed expectation and a discourse file
+    that is not UTF-8 or does not parse each raise :class:`CorpusError`,
+    naming the file. A leading byte-order mark is ignored.
     """
     if not Path(directory).is_dir():
         raise CorpusError(f"{directory}: not a directory")
@@ -505,9 +544,12 @@ def run_corpus(
         name = disc_path.name[: -len(DISCOURSE_SUFFIX)]
         expectation_path = disc_path.with_name(name + EXPECTATION_SUFFIX)
         if not expectation_path.exists():
-            raise CorpusError(f"missing expectation file for {disc_path.name}")
+            raise CorpusError(f"missing expectation file for {disc_path}")
         expectation = load_expectation(expectation_path)
-        discourse = parse_discourse(disc_path.read_text(encoding="utf-8"), lexicon)
+        try:
+            discourse = parse_discourse(disc_path.read_text(encoding="utf-8-sig"), lexicon)
+        except (UnicodeDecodeError, ParseError) as exc:
+            raise CorpusError(f"{disc_path}: {exc}") from exc
         interp = interpret(discourse, lexicon, axioms)
         actual = render_json(comparison_form(interpretation_to_dict(interp)))
         expected = render_json(comparison_form(expectation))

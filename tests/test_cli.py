@@ -13,6 +13,12 @@ NARRATION = (
     'clause id=c2 subj=he verb=spill obj="a bucket of water" tense=SPAST\n'
 )
 PPERF_ALONE = 'clause id=c1 subj=Max verb=spill obj="a bucket of water" tense=PPERF\n'
+EXPECTED_NARRATION = {
+    "felicitous": True,
+    "relations": [{"kind": "NARRATION", "first": "c1", "second": "c2"}],
+    "event_order": [{"before": "t_c1", "after": "t_c2"}],
+    "diagnostics": [],
+}
 
 
 @pytest.fixture
@@ -121,7 +127,48 @@ def test_parse_error_exit_code(inputs, capsys):
     disc = write_discourse(tmp_path, "clause id=c1 verb=slip tense=SPAST\n")
     assert main(interpret_args(disc, lexicon, axioms)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: line 1")
+    assert err.startswith(f"error: {disc}: line 1")
+
+
+INPUT_FILES = ["discourse", "lexicon", "axioms", "corpus case", "corpus expectation"]
+
+
+def case_files(inputs):
+    """Each input file of a NARRATION case, by name, and the command that reads it."""
+    tmp_path, lexicon, axioms = inputs
+    disc = write_discourse(tmp_path, NARRATION)
+    expectation = tmp_path / "case.expected.json"
+    expectation.write_text(json.dumps(EXPECTED_NARRATION))
+    files = {
+        "discourse": disc,
+        "lexicon": lexicon,
+        "axioms": axioms,
+        "corpus case": disc,
+        "corpus expectation": expectation,
+    }
+    corpus = ["corpus", str(tmp_path), "--lexicon", str(lexicon), "--axioms", str(axioms)]
+    interpret = interpret_args(disc, lexicon, axioms)
+    return {
+        name: (path, corpus if name.startswith("corpus") else interpret)
+        for name, path in files.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "bad, text",
+    [
+        ("discourse", "clause id=c1 subj=Max verb=jump tense=SPAST\n"),
+        ("lexicon", "verb slip klass=achievement\n"),
+        ("axioms", "cause spill\n"),
+        ("corpus case", "clause id=c1 subj=Max verb=slip tense=BOGUS\n"),
+    ],
+    ids=INPUT_FILES[:4],
+)
+def test_parse_error_names_the_file(inputs, capsys, bad, text):
+    target, args = case_files(inputs)[bad]
+    target.write_text(text)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {target}: line 1, column ")
 
 
 def test_missing_file_exit_code(inputs, capsys):
@@ -130,24 +177,26 @@ def test_missing_file_exit_code(inputs, capsys):
     assert main(interpret_args(missing, lexicon, axioms)) == 2
 
 
-@pytest.mark.parametrize("bad", ["discourse", "lexicon", "axioms", "corpus case"])
+@pytest.mark.parametrize("bad", INPUT_FILES)
 def test_non_utf8_input_exit_code(inputs, capsys, bad):
     """Input that is not UTF-8 is malformed input (exit 2), not an internal error."""
-    tmp_path, lexicon, axioms = inputs
-    disc = write_discourse(tmp_path, NARRATION)
-    (tmp_path / "case.expected.json").write_text(
-        json.dumps({"felicitous": True, "relations": [], "event_order": [], "diagnostics": []})
-    )
-    target = {"discourse": disc, "lexicon": lexicon, "axioms": axioms, "corpus case": disc}[bad]
+    target, args = case_files(inputs)[bad]
     target.write_bytes(b"\xff" + target.read_bytes())
-    if bad == "corpus case":
-        args = ["corpus", str(tmp_path), "--lexicon", str(lexicon), "--axioms", str(axioms)]
-    else:
-        args = interpret_args(disc, lexicon, axioms)
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {target}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", INPUT_FILES)
+def test_byte_order_mark_is_ignored(inputs, capsys, name):
+    """A file that starts with a UTF-8 byte-order mark reads as the file without it."""
+    path, args = case_files(inputs)[name]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_unknown_axiom_lemma_exit_code(inputs, capsys):

@@ -1,11 +1,13 @@
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from randgen import random_axioms, random_discourse, random_lexicon
+from test_search_oracle import BOTH_WAYS, _question_pperf_chain
 from tempcoh import (
     CausalAxiom,
     Clause,
@@ -249,6 +251,47 @@ def test_search_closes_no_network(lexicon, axioms, monkeypatch):
     assert [r.kind for r in interp.relations] == [RelationKind.NARRATION] * 49
     assert len(interp.event_order) == 50 * 49 // 2
     assert len(closing) == 1
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [("pour", TenseForm.SPAST, ConnectiveForm.BECAUSE)],
+        [("spill", TenseForm.SFUT, None), ("slip", TenseForm.SPAST, ConnectiveForm.AND_SO)],
+        [],
+    ],
+    ids=["because", "clash", "felicitous"],
+)
+def test_search_plans_each_pair_once(lexicon, monkeypatch, tail):
+    """Cues, candidates, support and constraints are derived once per pair, not per node.
+
+    Each family makes the search revisit its pairs up to 2^6 times.
+    """
+    module = sys.modules["tempcoh.interpret"]  # `tempcoh.interpret` is the function
+    calls = Counter()
+    listed = []
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            result = original(*args)
+            if name == "candidate_relations":
+                listed.extend(result)
+            return result
+
+        return counted
+
+    for name in ("candidate_relations", "semantic_support", "relation_constraint"):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    discourse = _question_pperf_chain(6, tail)
+    pairs = len(discourse.clauses) - 1
+    for run in (interpret, enumerate_assignments):
+        calls.clear()
+        listed.clear()
+        run(discourse, lexicon, BOTH_WAYS)
+        assert calls["candidate_relations"] == pairs
+        assert calls["semantic_support"] <= len(listed)
+        assert calls["relation_constraint"] <= calls["semantic_support"]
 
 
 def test_json_shape_and_determinism(lexicon, axioms):
