@@ -33,7 +33,7 @@ from .parsing import (
 
 
 class _InputError(ValueError):
-    """An input file that is not UTF-8 or does not parse; the message names the file."""
+    """An input file that is not UTF-8 or not valid; the message names the file."""
 
 
 def _parse(parse, path: Path, *args):
@@ -47,7 +47,10 @@ def _parse(parse, path: Path, *args):
 def _load_inputs(args):
     lexicon = _parse(parse_lexicon, args.lexicon)
     axioms = _parse(parse_axioms, args.axioms)
-    validate_axioms(axioms, lexicon)
+    try:
+        validate_axioms(axioms, lexicon)
+    except UnknownLemmaError as exc:
+        raise _InputError(f"{args.axioms}: {exc}") from exc
     return lexicon, axioms
 
 
@@ -169,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, _InputError, UnknownLemmaError, CorpusError) as exc:
+    except (OSError, _InputError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -78,13 +78,19 @@ def relation_constraint(
     return None
 
 
-def _supported(
+def semantic_support(
     kind: RelationKind,
-    first: Clause,
-    second: Clause,
+    pair: tuple[Clause, Clause],
     cues: CueSet,
     axioms: list[CausalAxiom],
 ) -> bool:
+    """Whether a relation of `kind` has its semantic prerequisites on this pair.
+
+    Explanation needs an axiom by which the second clause's event can
+    cause the first's; Cause-Effect needs the same axiom the other way
+    round; Parallel needs a parallel cue; Narration has no prerequisite.
+    """
+    first, second = pair
     if kind is RelationKind.NARRATION:
         return True
     if kind is RelationKind.EXPLANATION:
@@ -92,20 +98,6 @@ def _supported(
     if kind is RelationKind.CAUSE_EFFECT:
         return any(ax.cause == first.verb and ax.effect == second.verb for ax in axioms)
     return cues.parallel_context or cues.connective is ConnectiveForm.AND_ALSO
-
-
-def semantic_support(
-    rel: CoherenceRelation, discourse: Discourse, axioms: list[CausalAxiom]
-) -> bool:
-    """Whether the relation's semantic prerequisites hold in this discourse.
-
-    Explanation needs an axiom by which the second clause's event can
-    cause the first's; Cause-Effect needs the same axiom the other way
-    round; Parallel needs a parallel cue; Narration has no prerequisite.
-    """
-    first = discourse.clause_by_id(rel.first)
-    second = discourse.clause_by_id(rel.second)
-    return _supported(rel.kind, first, second, derive_cues(discourse, second), axioms)
 
 
 def candidate_relations(
@@ -128,7 +120,7 @@ def candidate_relations(
         return [
             CoherenceRelation(kind=kind, first=first.id, second=second.id)
             for kind in ordered
-            if _supported(kind, first, second, cues, axioms)
+            if semantic_support(kind, pair, cues, axioms)
         ]
     if cues.parallel_context:
         return [

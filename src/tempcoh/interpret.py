@@ -1,11 +1,12 @@
 """End-to-end interpretation of a discourse and the corpus regression runner.
 
 Clauses are processed left to right. The tense stage mints event points
-and asserts each clause's tense constraints while accumulating salient
-event times. The coherence stage then walks adjacent pairs, trying each
-pair's candidate relations in cue-priority order: one generator,
-`_search`, yields every complete assignment whose constraints stay
-consistent and whose semantic prerequisites hold, in priority order.
+and asserts each clause's tense constraints, keeping only the most recent
+event time, the one a past perfect anchors to. The coherence stage then
+walks adjacent pairs, trying each pair's candidate relations in
+cue-priority order: one generator, `_search`, yields every complete
+assignment whose constraints stay consistent and whose semantic
+prerequisites hold, in priority order.
 `interpret` takes the first and `enumerate_assignments` all of them. It
 is a depth-first search, so a dead end later in the discourse backtracks
 to a lower-priority candidate earlier. A pair's cues, candidates, their
@@ -219,7 +220,7 @@ def _plan(discourse, axioms, pair) -> _PairPlan:
     rejected: list[str] = []  # unsupported candidates since the last supported one
     for candidate in candidates:
         name = candidate.kind.name
-        if not semantic_support(candidate, discourse, axioms):
+        if not semantic_support(candidate.kind, pair, cues, axioms):
             rejected.append(f"{prefix}{name} rejected, no semantic support")
             continue
         constraint = relation_constraint(candidate)

@@ -104,12 +104,6 @@ class Discourse:
         if self.clauses[0].connective is not None:
             raise ValueError("the first clause of a discourse cannot carry a connective")
 
-    def clause_by_id(self, clause_id: str) -> Clause:
-        for clause in self.clauses:
-            if clause.id == clause_id:
-                return clause
-        raise KeyError(clause_id)
-
 
 @dataclass(frozen=True)
 class Lexicon:

@@ -41,20 +41,22 @@ class UnresolvedReferenceTimeError(Exception):
 
 @dataclass(frozen=True)
 class TenseResolutionContext:
-    """Speech time plus the event times of already-interpreted clauses, oldest first."""
+    """Speech time plus the most recently introduced event time, if any.
+
+    That event time is the only one a past perfect can anchor to, so it is
+    all the context keeps; `remember` replaces it.
+    """
 
     speech_time: TimePoint
-    salient_event_times: tuple[TimePoint, ...] = ()
+    last_event_time: TimePoint | None = None
 
     def __post_init__(self) -> None:
-        for point in self.salient_event_times:
-            if point.kind is not PointKind.EVENT:
-                raise ValueError(f"salient time {point.id!r} is not an event point")
+        point = self.last_event_time
+        if point is not None and point.kind is not PointKind.EVENT:
+            raise ValueError(f"salient time {point.id!r} is not an event point")
 
     def remember(self, event_time: TimePoint) -> "TenseResolutionContext":
-        return replace(
-            self, salient_event_times=self.salient_event_times + (event_time,)
-        )
+        return replace(self, last_event_time=event_time)
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,6 @@ def resolve_tense(clause: Clause, ctx: TenseResolutionContext) -> TenseResult:
     event = TimePoint(
         id=event_point_id(clause.id), kind=PointKind.EVENT, source_clause=clause.id
     )
-    taken = {ctx.speech_time.id} | {p.id for p in ctx.salient_event_times}
-    if event.id in taken:
-        raise ValueError(f"event point id {event.id!r} collides with an existing point")
-
     speech = ctx.speech_time
     if clause.tense is TenseForm.SPAST:
         constraints = ((event, speech, PointRelation.PRECEDES),)
@@ -90,9 +88,9 @@ def resolve_tense(clause: Clause, ctx: TenseResolutionContext) -> TenseResult:
         constraints = ((speech, event, PointRelation.PRECEDES),)
         reference = speech
     else:  # PPERF
-        if not ctx.salient_event_times:
+        reference = ctx.last_event_time
+        if reference is None:
             raise UnresolvedReferenceTimeError(clause.id)
-        reference = ctx.salient_event_times[-1]
         constraints = (
             (event, reference, PointRelation.PRECEDES),
             (reference, speech, PointRelation.PRECEDES),

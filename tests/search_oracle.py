@@ -137,7 +137,7 @@ class _Search:
         self.trace.append(f"[coherence] pair {pair_label}: candidates: {names}")
         any_supported = False
         for candidate in candidates:
-            if not semantic_support(candidate, self.discourse, self.axioms):
+            if not semantic_support(candidate.kind, (first, second), cues, self.axioms):
                 self.trace.append(
                     f"[coherence] pair {pair_label}: {candidate.kind.name} rejected, "
                     "no semantic support"

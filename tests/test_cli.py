@@ -204,7 +204,9 @@ def test_unknown_axiom_lemma_exit_code(inputs, capsys):
     axioms.write_text("cause spill jump\n")
     disc = write_discourse(tmp_path, NARRATION)
     assert main(interpret_args(disc, lexicon, axioms)) == 2
-    assert "jump" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {axioms}: axiom lemma 'jump' is not defined in the lexicon\n"
+    )
 
 
 def test_corpus_happy_path(corpus_dir, capsys):

@@ -59,33 +59,39 @@ def test_relation_constraints():
     assert relation_constraint(rel(RelationKind.PARALLEL)) is None
 
 
-def test_explanation_needs_causal_axiom():
-    discourse = Discourse(clauses=pair())
-    assert semantic_support(rel(RelationKind.EXPLANATION), discourse, [SLIPPING_AXIOM])
-    assert not semantic_support(rel(RelationKind.EXPLANATION), discourse, [])
-
-
 def test_explanation_axiom_direction_matters():
     # The axiom says spilling causes slipping, not the other way round.
-    discourse = Discourse(clauses=pair(first_verb="spill", second_verb="slip"))
-    assert not semantic_support(
-        rel(RelationKind.EXPLANATION), discourse, [SLIPPING_AXIOM]
-    )
-    assert semantic_support(rel(RelationKind.CAUSE_EFFECT), discourse, [SLIPPING_AXIOM])
+    spill_then_slip = pair(first_verb="spill", second_verb="slip")
+    axioms = [SLIPPING_AXIOM]
+    assert not semantic_support(RelationKind.EXPLANATION, spill_then_slip, cue_set(), axioms)
+    assert semantic_support(RelationKind.CAUSE_EFFECT, spill_then_slip, cue_set(), axioms)
 
 
-def test_narration_always_supported():
-    discourse = Discourse(clauses=pair(first_verb="pour", second_verb="enter"))
-    assert semantic_support(rel(RelationKind.NARRATION), discourse, [])
+PARALLEL_CUES = {
+    "none": cue_set(),
+    "topic question": cue_set(parallel_context=True),
+    "and_also": cue_set(connective=ConnectiveForm.AND_ALSO),
+}
 
 
-def test_parallel_needs_a_cue():
-    plain = Discourse(clauses=pair())
-    assert not semantic_support(rel(RelationKind.PARALLEL), plain, [])
-    questioned = Discourse(clauses=pair(), context_question="What happened?")
-    assert semantic_support(rel(RelationKind.PARALLEL), questioned, [])
-    conjoined = Discourse(clauses=pair(connective=ConnectiveForm.AND_ALSO))
-    assert semantic_support(rel(RelationKind.PARALLEL), conjoined, [])
+def test_semantic_support_table():
+    """Kind x axiom present x cue present: each kind reads only its own prerequisite."""
+    # For each causal kind, a pair along which the axiom runs that kind's way.
+    pairs = {
+        RelationKind.EXPLANATION: pair(first_verb="slip", second_verb="spill"),
+        RelationKind.CAUSE_EFFECT: pair(first_verb="spill", second_verb="slip"),
+    }
+    for kind in RelationKind:
+        for axioms in ([], [SLIPPING_AXIOM]):
+            for cue, cues in PARALLEL_CUES.items():
+                expected = {
+                    RelationKind.NARRATION: True,
+                    RelationKind.EXPLANATION: bool(axioms),
+                    RelationKind.CAUSE_EFFECT: bool(axioms),
+                    RelationKind.PARALLEL: cue != "none",
+                }[kind]
+                supported = semantic_support(kind, pairs.get(kind, pair()), cues, axioms)
+                assert supported is expected, (kind, axioms, cue)
 
 
 def test_default_is_narration():

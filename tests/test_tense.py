@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from tempcoh import (
     Clause,
+    Discourse,
     PointKind,
     PointRelation,
     TenseForm,
@@ -10,6 +11,7 @@ from tempcoh import (
     TimePoint,
     TemporalNetwork,
     UnresolvedReferenceTimeError,
+    build_tense_network,
     event_point_id,
     resolve_tense,
 )
@@ -21,8 +23,8 @@ def clause(cid="c1", tense=TenseForm.SPAST, verb="slip"):
     return Clause(id=cid, subject="Max", verb=verb, tense=tense)
 
 
-def ctx_with(*salient: TimePoint) -> TenseResolutionContext:
-    return TenseResolutionContext(speech_time=SPEECH, salient_event_times=salient)
+def ctx_with(last: TimePoint | None = None) -> TenseResolutionContext:
+    return TenseResolutionContext(speech_time=SPEECH, last_event_time=last)
 
 
 def event_of(cid: str) -> TimePoint:
@@ -53,7 +55,8 @@ def test_simple_future():
 
 def test_past_perfect_anchors_to_most_recent_event():
     t1, t2 = event_of("c1"), event_of("c2")
-    result = resolve_tense(clause("c3", TenseForm.PPERF, verb="spill"), ctx_with(t1, t2))
+    ctx = ctx_with().remember(t1).remember(t2)
+    result = resolve_tense(clause("c3", TenseForm.PPERF, verb="spill"), ctx)
     assert result.reference_time == t2
     assert result.new_constraints == (
         (result.event_time, t2, PointRelation.PRECEDES),
@@ -94,12 +97,22 @@ def test_past_perfect_event_precedes_speech_after_closure():
 
 def test_salient_times_must_be_event_points():
     with pytest.raises(ValueError):
-        TenseResolutionContext(speech_time=SPEECH, salient_event_times=(SPEECH,))
+        TenseResolutionContext(speech_time=SPEECH, last_event_time=SPEECH)
 
 
-def test_collision_with_existing_point_rejected():
-    with pytest.raises(ValueError):
-        resolve_tense(clause("c1"), ctx_with(event_of("c1")))
+def test_remember_keeps_only_the_last_event_time():
+    t1, t2 = event_of("c1"), event_of("c2")
+    assert ctx_with().remember(t1).remember(t2) == TenseResolutionContext(SPEECH, t2)
+
+
+def test_past_perfect_after_long_run_anchors_on_the_last_event():
+    """After 200 simple pasts under a topic question, a past perfect anchors on the 200th."""
+    clauses = [clause(f"c{i}") for i in range(1, 201)]
+    clauses.append(clause("c201", TenseForm.PPERF, verb="spill"))
+    discourse = Discourse(clauses=tuple(clauses), context_question="What happened?")
+    net = build_tense_network(discourse)
+    assert net.query("t_c201", "t_c200") is PointRelation.PRECEDES
+    assert net.query("t_c201", "t_c199") is PointRelation.UNCONSTRAINED
 
 
 IDENT = st.from_regex(r"[A-Za-z0-9_]{1,8}", fullmatch=True)
@@ -111,13 +124,14 @@ IDENT = st.from_regex(r"[A-Za-z0-9_]{1,8}", fullmatch=True)
     tense=st.sampled_from(tuple(TenseForm)),
 )
 def test_minted_point_is_fresh(cid, prior, tense):
-    salient = tuple(event_of(p) for p in prior if p != cid)
-    ctx = ctx_with(*salient)
+    ctx = ctx_with()
+    for p in prior:
+        if p != cid:
+            ctx = ctx.remember(event_of(p))
     try:
         result = resolve_tense(clause(cid, tense), ctx)
     except UnresolvedReferenceTimeError:
-        assert tense is TenseForm.PPERF and not salient
+        assert tense is TenseForm.PPERF and ctx.last_event_time is None
         return
-    taken = {SPEECH.id} | {p.id for p in salient}
-    assert result.event_time.id not in taken
-    assert result.event_time.source_clause == cid
+    assert result.event_time == event_of(cid)
+    assert result.event_time not in (SPEECH, ctx.last_event_time)
