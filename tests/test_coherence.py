@@ -59,12 +59,37 @@ def test_relation_constraints():
     assert relation_constraint(rel(RelationKind.PARALLEL)) is None
 
 
+def support(kind, discourse, axioms):
+    pair = tuple(discourse.clauses)
+    return semantic_support(kind, pair, derive_cues(discourse, pair[1]), axioms)
+
+
+def test_explanation_needs_causal_axiom():
+    discourse = Discourse(clauses=pair())
+    assert support(RelationKind.EXPLANATION, discourse, [SLIPPING_AXIOM])
+    assert not support(RelationKind.EXPLANATION, discourse, [])
+
+
 def test_explanation_axiom_direction_matters():
     # The axiom says spilling causes slipping, not the other way round.
     spill_then_slip = pair(first_verb="spill", second_verb="slip")
     axioms = [SLIPPING_AXIOM]
     assert not semantic_support(RelationKind.EXPLANATION, spill_then_slip, cue_set(), axioms)
     assert semantic_support(RelationKind.CAUSE_EFFECT, spill_then_slip, cue_set(), axioms)
+
+
+def test_narration_always_supported():
+    discourse = Discourse(clauses=pair(first_verb="pour", second_verb="enter"))
+    assert support(RelationKind.NARRATION, discourse, [])
+
+
+def test_parallel_needs_a_cue():
+    plain = Discourse(clauses=pair())
+    assert not support(RelationKind.PARALLEL, plain, [])
+    questioned = Discourse(clauses=pair(), context_question="What happened?")
+    assert support(RelationKind.PARALLEL, questioned, [])
+    conjoined = Discourse(clauses=pair(connective=ConnectiveForm.AND_ALSO))
+    assert support(RelationKind.PARALLEL, conjoined, [])
 
 
 PARALLEL_CUES = {
