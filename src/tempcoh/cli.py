@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 infelicitous verdict in plain (non `--json`)
 single-file mode, 2 unreadable or malformed input (the message names the
-file), 3 corpus failures, 4 internal error (the traceback goes to stderr).
+file) or an output pipe whose reader has gone (nothing more is printed),
+3 corpus failures, 4 internal error (the traceback goes to stderr).
 JSON goes to stdout; `--trace` derivation lines go to stderr so stdout
 stays machine-readable.
 """
@@ -10,6 +11,7 @@ stays machine-readable.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -168,16 +170,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _quiet_if_broken(stream) -> None:
+    """Point `stream` at the null device if its reader has gone.
+
+    Python flushes stdout and stderr at exit; a flush into a closed pipe
+    would print a complaint and change the exit code.
+    """
+    try:
+        stream.flush()
+    except (OSError, ValueError):
+        try:
+            fd = stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        except (OSError, ValueError):
+            pass  # not a file: Python flushes nothing into it at exit
+
+
+def _report(text: str) -> None:
+    """Print `text` on stderr, or nothing if stderr cannot take it."""
+    try:
+        print(text, file=sys.stderr)
+    except (OSError, ValueError):
+        _quiet_if_broken(sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # No handler below can raise: an exception escaping `main` would exit 1,
+    # which means "infelicitous".
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # A reader that left early, on stdout or on stderr.
+        _quiet_if_broken(sys.stdout)
+        _quiet_if_broken(sys.stderr)
+        return 2
     except (OSError, _InputError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except Exception:
-        # A crash must not read as exit 1, which means "infelicitous".
-        traceback.print_exc()
+        _report(traceback.format_exc().rstrip("\n"))
         return 4
 
 

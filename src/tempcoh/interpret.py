@@ -1,33 +1,35 @@
 """End-to-end interpretation of a discourse and the corpus regression runner.
 
 Clauses are processed left to right. The tense stage mints event points
-and asserts each clause's tense constraints, keeping only the most recent
-event time, the one a past perfect anchors to. The coherence stage then
-walks adjacent pairs, trying each pair's candidate relations in
-cue-priority order: one generator, `_search`, yields every complete
-assignment whose constraints stay consistent and whose semantic
+and writes each clause's tense constraints into a chain network, keeping
+only the most recent event time, the one a past perfect anchors to. The
+coherence stage then walks adjacent pairs, trying each pair's candidate
+relations in cue-priority order: one generator, `_search`, yields every
+complete assignment whose constraints stay consistent and whose semantic
 prerequisites hold, in priority order.
 `interpret` takes the first and `enumerate_assignments` all of them. It
 is a depth-first search, so a dead end later in the discourse backtracks
 to a lower-priority candidate earlier. A pair's cues, candidates, their
-semantic support and constraints, and its trace lines do not depend on
-what the search chose before it, so each pair is planned once per
-discourse and the search replays the plan, asserting only the
-constraints, whenever it enters the pair. It keeps its path on an explicit
-stack, one frame per open pair, instead of recursing per pair, so that
-Python's recursion limit does not bound the length of a discourse. The
-search's network is always closed, and asserting onto it keeps it closed,
-so a clash is read off the assertion that causes it and the search never
-calls `close`; the tense stage closes its network once, at its end. A
+semantic support and edges, and its trace lines do not depend on what
+the search chose before it, so each pair is planned once per discourse
+and the search replays the plan, checking only the edges, whenever it
+enters the pair. It keeps its path on an explicit stack, one frame per
+open pair, instead of recursing per pair, so that Python's recursion
+limit does not bound the length of a discourse. Every constraint links
+an event to speech or two adjacent events, so the search checks a pair's
+edge against the tense chain in O(1) and never changes it: its only state
+is the relations chosen so far, and backtracking restores nothing. A
 discourse with no surviving assignment is infelicitous and carries a
-diagnostic naming the deepest pair at which the search failed.
+diagnostic naming the deepest pair at which the search failed. No
+`TemporalNetwork` is built on the way; `Interpretation.network` builds
+one from the chain when it is read.
 
 The JSON output is deterministic: stable key order, two-space indent,
 newline terminated, non-ASCII escaped; its bytes are those of `json.dumps`
-with an indent of 2, plus a newline. `event_order` is read off the closed
-network in one call, `TemporalNetwork.precedences`. Corpus expectation
-files use the same shape minus the diagnostic message text, so
-expectations compare byte-for-byte against the canonicalized output.
+with an indent of 2, plus a newline. `event_order` is read off the
+reading's chain in O(n + output), `ChainNetwork.precedences`. Corpus
+expectation files use the same shape minus the diagnostic message text,
+so expectations compare byte-for-byte against the canonicalized output.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
@@ -47,7 +50,7 @@ from .coherence import (
     relation_constraint,
     semantic_support,
 )
-from .network import PointKind, PointRelation, TemporalNetwork, TimePoint
+from .network import BACKWARD, FORWARD, ChainNetwork, PointKind, TemporalNetwork, TimePoint
 from .parsing import CausalAxiom, Discourse, Lexicon, ParseError, parse_discourse
 from .tense import (
     TenseResolutionContext,
@@ -99,14 +102,23 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class Interpretation:
-    """Verdict, chosen relations, closed network, and entailed event ordering."""
+    """Verdict, chosen relations, their chain network, and entailed event ordering.
+
+    `chain` holds the tense constraints and, for a felicitous reading, its
+    relations' edges; an infelicitous one keeps the tense stage's chain.
+    """
 
     felicitous: bool
     relations: tuple[CoherenceRelation, ...]
-    network: TemporalNetwork
+    chain: ChainNetwork
     event_order: tuple[tuple[str, str], ...]
     diagnostics: tuple[Diagnostic, ...]
     trace: tuple[str, ...] = ()
+
+    @cached_property
+    def network(self) -> TemporalNetwork:
+        """The closed `TemporalNetwork` of `chain`, built when first read."""
+        return self.chain.network()
 
 
 def _speech_point() -> TimePoint:
@@ -119,17 +131,18 @@ def _describe_constraints(result) -> str:
 
 def _tense_stage(
     discourse: Discourse,
-) -> tuple[TemporalNetwork, Diagnostic | None, list[str]]:
+) -> tuple[ChainNetwork, Diagnostic | None, list[str]]:
     """Run tense resolution over all clauses; stops at the first defect.
 
-    Only a past perfect orders two events, its own before the previous one, so a
-    clash needs a cycle through speech's class (speech and present events). Out of
-    it lie only future events, whose one way back, a past perfect's `anchor < speech`,
-    contradicts the stored `speech < anchor` (or `anchor = speech`) directly.
+    Each clause appends its event to the chain and writes its constraints: the
+    event's side of speech, or for a past perfect the edge to the previous
+    event and that event's side, each in O(1). The chain checks every
+    assertion against all it entails, so a clash shows on the clause that
+    causes it.
     """
     trace: list[str] = []
     speech = _speech_point()
-    net = TemporalNetwork().add_point(speech)
+    chain = ChainNetwork(speech)
     ctx = TenseResolutionContext(speech_time=speech)
     diag: Diagnostic | None = None
     for clause in discourse.clauses:
@@ -144,20 +157,20 @@ def _tense_stage(
                 DiagnosticCode.UNRESOLVED_REFERENCE_TIME, (clause.id,)
             )
             break
-        net = net.add_point(result.event_time)
+        chain.append(result.event_time)
         for a, b, rel in result.new_constraints:
-            net = net.assert_constraint(a, b, rel)
+            chain.assert_constraint(a.id, b.id, rel)
         trace.append(
             f"[tense] clause {clause.id}: minted {result.event_time.id} "
             f"({clause.tense.value}), reference time {result.reference_time.id}; "
             f"asserted {_describe_constraints(result)}"
         )
-        if net.inconsistent:
+        if chain.inconsistent:
             trace.append(f"[tense] clause {clause.id}: constraints clash")
             diag = Diagnostic.make(DiagnosticCode.TEMPORAL_CLASH, (clause.id,))
             break
         ctx = ctx.remember(result.event_time)
-    return net.close(), diag, trace
+    return chain, diag, trace
 
 
 def build_tense_network(discourse: Discourse) -> TemporalNetwork:
@@ -166,17 +179,10 @@ def build_tense_network(discourse: Discourse) -> TemporalNetwork:
     Raises :class:`UnresolvedReferenceTimeError` if a past perfect cannot
     be anchored. A clash shows up as an inconsistent network.
     """
-    net, diag, _ = _tense_stage(discourse)
+    chain, diag, _ = _tense_stage(discourse)
     if diag is not None and diag.code is DiagnosticCode.UNRESOLVED_REFERENCE_TIME:
         raise UnresolvedReferenceTimeError(diag.clause_ids[0])
-    return net
-
-
-def _event_order(
-    net: TemporalNetwork, discourse: Discourse
-) -> tuple[tuple[str, str], ...]:
-    """Entailed precedences between event points, in discourse order."""
-    return net.precedences([event_point_id(c.id) for c in discourse.clauses])
+    return chain.network()
 
 
 def _describe_cues(cues) -> str:
@@ -192,7 +198,7 @@ class _Step(NamedTuple):
 
     rejected: tuple[str, ...]  # `no semantic support` lines of the candidates listed before it
     candidate: CoherenceRelation
-    constraint: tuple[tuple[str, str], PointRelation] | None  # its `relation_constraint`
+    direction: int  # the edge its `relation_constraint` asserts: FORWARD, BACKWARD or 0
     clash: str
     holds: str
     backtrack: str
@@ -224,16 +230,19 @@ def _plan(discourse, axioms, pair) -> _PairPlan:
             rejected.append(f"{prefix}{name} rejected, no semantic support")
             continue
         constraint = relation_constraint(candidate)
+        direction = 0
         if constraint is not None:
+            # A strict precedence between the pair's events.
             (a, b), rel = constraint
             asserted = f"; asserted {a} {rel.value} {b}"
+            direction = FORWARD if a == event_point_id(first.id) else BACKWARD
         else:
             asserted = "; no ordering constraint"
         steps.append(
             _Step(
                 tuple(rejected),
                 candidate,
-                constraint,
+                direction,
                 f"{prefix}{name} rejected, temporal clash",
                 f"{prefix}{name} holds{asserted}",
                 f"{prefix}backtracking from {name}",
@@ -244,42 +253,39 @@ def _plan(discourse, axioms, pair) -> _PairPlan:
     return _PairPlan(opening, tuple(steps), tuple(rejected), (code, (first.id, second.id)))
 
 
-def _survivors(plan: _PairPlan, net, trace):
-    """Yield each candidate relation of a pair that holds on `net`, in priority order.
+def _survivors(plan: _PairPlan, chain, k, trace):
+    """Yield each candidate relation of pair k that holds, in priority order.
 
-    Only the assertions depend on `net`; everything else, trace lines
-    included, comes from the pair's plan. `net` is closed, so a candidate's
-    constraint clashes exactly when it contradicts a stored relation, which
-    the assertion itself flags, and otherwise the assertion returns a closed
-    network. Each survivor comes with that network, not closed again;
+    A candidate holds unless its edge clashes with the tense chain; an edge
+    never changes an event's side of speech, so the relations chosen before
+    pair k cannot make it clash. Everything else, trace lines included, comes
+    from the pair's plan. Each survivor comes with its edge direction;
     resuming the generator means the search backtracked from the last one.
     Once no candidate is left, returns why the pair failed and the ids of
     its clauses.
     """
     trace.extend(plan.opening)
-    for rejected, candidate, constraint, clash, holds, backtrack in plan.steps:
+    for rejected, candidate, direction, clash, holds, backtrack in plan.steps:
         trace.extend(rejected)
-        trial = net
-        if constraint is not None:
-            (a, b), rel = constraint
-            trial = trial.assert_constraint(a, b, rel)
-        if trial.inconsistent:
+        if chain.clashes(k, direction):
             trace.append(clash)
             continue
         trace.append(holds)
-        yield candidate, trial
+        yield candidate, direction
         trace.append(backtrack)
     trace.extend(plan.closing)
     return plan.failure
 
 
-def _search(discourse, axioms, net, trace):
+def _search(discourse, axioms, chain, trace):
     """Depth-first search over per-pair candidate relations in priority order.
 
     Plans every adjacent pair once, then replays a pair's plan each time
-    the search enters it, so a search node only asserts constraints.
-    Yields every complete assignment that survives, with its closed
-    network, and appends the derivation to `trace`. Once exhausted,
+    the search enters it, so a search node only checks one edge against
+    the tense chain in O(1). The chain is never changed, so the search's
+    only state is the relations chosen so far. Yields every complete
+    assignment that survives, with its chain, and appends the derivation
+    to `trace`. Once exhausted,
     returns the diagnostic code and clause ids of the deepest pair at
     which a branch died, or None if none died.
     """
@@ -287,19 +293,20 @@ def _search(discourse, axioms, net, trace):
     plans = [_plan(discourse, axioms, pair) for pair in zip(clauses, clauses[1:])]
     frames = []  # one `_survivors` generator per open pair, outermost first
     chosen = []  # the relation taken at each open pair
+    directions = []  # the edge direction of each relation in `chosen`
     deepest, failure = -1, None
     while True:
-        # `net` is the closed network after the relations in `chosen`.
         if len(chosen) == len(plans):
-            yield tuple(chosen), net
+            yield tuple(chosen), chain.with_edges(directions)
         else:
-            frames.append(_survivors(plans[len(chosen)], net, trace))
+            depth = len(chosen)
+            frames.append(_survivors(plans[depth], chain, depth, trace))
         # Advance the innermost open pair, dropping those with no survivor left.
         while frames:
             depth = len(frames) - 1
-            del chosen[depth:]
+            del chosen[depth:], directions[depth:]
             try:
-                candidate, net = next(frames[-1])
+                candidate, direction = next(frames[-1])
             except StopIteration as exhausted:
                 # A shallower failure found later never overrides a deeper one.
                 if depth > deepest:
@@ -307,6 +314,7 @@ def _search(discourse, axioms, net, trace):
                 frames.pop()
             else:
                 chosen.append(candidate)
+                directions.append(direction)
                 break
         else:
             return failure
@@ -321,20 +329,20 @@ def interpret(
     pair and the entailed event ordering, or an infelicitous one whose
     diagnostics name the blocking clauses. Pure and deterministic.
     """
-    net, diag, trace = _tense_stage(discourse)
+    chain, diag, trace = _tense_stage(discourse)
     if diag is None:
         try:
-            relations, final = next(_search(discourse, axioms, net, trace))
+            relations, final = next(_search(discourse, axioms, chain, trace))
         except StopIteration as exhausted:
             diag = Diagnostic.make(*exhausted.value)
         else:
-            order = _event_order(final, discourse)
-            rendered = ", ".join(f"{a} < {b}" for a, b in order) or "none"
+            order = final.precedences()
+            rendered = ", ".join(map(" < ".join, order)) or "none"
             trace.append(f"[result] felicitous; entailed event order: {rendered}")
             return Interpretation(
                 felicitous=True,
                 relations=relations,
-                network=final,
+                chain=final,
                 event_order=order,
                 diagnostics=(),
                 trace=tuple(trace),
@@ -343,7 +351,7 @@ def interpret(
     return Interpretation(
         felicitous=False,
         relations=(),
-        network=net,
+        chain=chain,
         event_order=(),
         diagnostics=(diag,),
         trace=tuple(trace),
@@ -354,18 +362,18 @@ def enumerate_assignments(
     discourse: Discourse, lexicon: Lexicon, axioms: list[CausalAxiom]
 ) -> list[Interpretation]:
     """Each surviving assignment in priority order, as a felicitous Interpretation."""
-    net, diag, _ = _tense_stage(discourse)
+    chain, diag, _ = _tense_stage(discourse)
     if diag is not None:
         return []
     return [
         Interpretation(
             felicitous=True,
             relations=relations,
-            network=final,
-            event_order=_event_order(final, discourse),
+            chain=final,
+            event_order=final.precedences(),
             diagnostics=(),
         )
-        for relations, final in _search(discourse, axioms, net, [])
+        for relations, final in _search(discourse, axioms, chain, [])
     ]
 
 

@@ -1,29 +1,41 @@
 """Point-algebra constraint networks over time points.
 
 The only temporal vocabulary the interpreter ever writes is strict
-precedence and equality between points, so the network supports exactly
-the relations {<, >, =, unconstrained}. FOLLOWS is never stored: a
-constraint a > b is canonicalized to b < a, and EQUALS is stored under
-the lexicographically sorted point pair. Absent pairs are unconstrained.
+precedence and equality between points, so the networks support exactly
+the relations {<, >, =, unconstrained}. Two structures hold them.
 
-Networks are immutable values. Asserting a constraint computes the meet
-with whatever is already known about the pair; a contradictory meet
-marks the result inconsistent instead of raising, so callers can treat
-a clash as evidence against a hypothesis rather than a crash. One step,
-`_entail`, adds a constraint and all it entails to a closed store, so a
-closed network stays closed under assertion, and `close`, which computes
-the full set of entailed constraints (and detects derived inconsistencies),
-is a fold of that step. `query` reports the strongest relation that holds
-in every total preorder satisfying the constraints; `precedences` lists
-every entailed precedence among a list of points, checking the network
-and the ids once rather than once per pair.
+`ChainNetwork` is the one the interpreter runs on. Every constraint it
+writes relates an event to speech (a tense) or two adjacent events (a
+past perfect or a coherence relation), so its network is a line of
+events plus a speech hub. For {<, =} closure is complete (Vilain & Kautz
+1986), and on this shape it reduces to two facts: e_i < e_j holds when
+every edge between them points from i to j, or when e_i is at or before
+speech and e_j at or after it, at least one strictly. Every tense places
+its event on a side of speech, so the chain keeps each event's side and
+the direction of its edge to the next event: a clash check costs O(1),
+and the event order O(n + output).
+
+`TemporalNetwork` is the general network and the chain's reference: an
+immutable value over any points and constraints. FOLLOWS is never stored:
+a constraint a > b is canonicalized to b < a, and EQUALS is stored under
+the lexicographically sorted point pair. Absent pairs are unconstrained.
+Asserting a constraint computes the meet with whatever is already known
+about the pair; a contradictory meet marks the result inconsistent
+instead of raising, so callers can treat a clash as evidence against a
+hypothesis rather than a crash. One step, `_entail`, adds a constraint and
+all it entails to a closed store, so a closed network stays closed under
+assertion, and `close`, which computes the full set of entailed
+constraints (and detects derived inconsistencies), is a fold of that
+step. `query` reports the strongest relation that holds in every total
+preorder satisfying the constraints. `ChainNetwork.network` builds the
+`TemporalNetwork` of a chain, for callers that read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import product
+from itertools import accumulate, chain, combinations, product, repeat
 from typing import Collection, Iterable, Sequence
 
 
@@ -241,26 +253,166 @@ class TemporalNetwork:
         b_id = net._resolve(b)
         return _relation(net.constraints, a_id, b_id)
 
-    def precedences(self, ids: Sequence[str]) -> tuple[tuple[str, str], ...]:
-        """Each entailed `a < b` between two of `ids`, as `(a, b)`.
 
-        Pairs are taken in list order: for i < j, `(ids[i], ids[j])` if the
-        first precedes, `(ids[j], ids[i])` if it follows, nothing otherwise.
-        The result is what `query` gives pair by pair, and it raises as
-        `query` does, but it closes and checks the network and the ids once.
+# An event's side: its entailed relation to speech.
+BEFORE, AT, AFTER = -1, 0, 1
+# The direction of the edge between events k and k + 1: e_k < e_(k+1), the
+# reverse, or 0 if there is no edge.
+FORWARD, BACKWARD = 1, -1
+
+
+def _cycle(side: int | None, next_side: int | None, direction: int) -> bool:
+    """Whether an edge in `direction` from an event on `side` to the next event,
+    on `next_side`, closes a cycle through speech: for FORWARD, the next event
+    is at or before speech and the first at or after it."""
+    return side is not None and next_side is not None and side * direction >= 0 >= next_side * direction
+
+
+class ChainNetwork:
+    """Speech plus a line of events: each event's side of speech, and an edge
+    between each pair of neighbours.
+
+    Edges are strict; equality comes only from a side AT speech. Every tense
+    places its event on a side: a simple tense directly, a past perfect's event
+    before its anchor, which it places before speech. So each event has its
+    side once its clause is asserted, and an edge never changes one: e_i < e_j
+    holds exactly when the edges between them all point from e_i to e_j, or
+    when e_i's side is below e_j's (BEFORE < AT < AFTER).
+
+    The tense stage builds the chain with `append` and `assert_constraint`,
+    each O(1). The search then checks edges with `clashes`, O(1), without
+    changing the chain, and `with_edges` gives the chain of one reading.
+    """
+
+    def __init__(self, speech: TimePoint) -> None:
+        self.speech = speech
+        self.events: list[TimePoint] = []
+        self.sides: list[int | None] = []  # None until the event's clause places it
+        self.edges: list[int] = []  # edges[k] joins events k and k + 1
+        self.inconsistent = False
+
+    def append(self, point: TimePoint) -> None:
+        """Add an event after the last one, which must have its side by now."""
+        if self.sides and self.sides[-1] is None:
+            raise ValueError(f"event {self.events[-1].id!r} has no side of speech")
+        if self.events:
+            self.edges.append(0)
+        self.events.append(point)
+        self.sides.append(None)
+
+    def _position(self, pid: str) -> int:
+        """The position of `pid` among the last two events."""
+        last = len(self.events) - 1
+        for k in (last, last - 1):
+            if k >= 0 and self.events[k].id == pid:
+                return k
+        raise UnknownPointError(f"{pid!r} is not one of the last two events")
+
+    def assert_constraint(self, a: str, b: str, rel: PointRelation) -> None:
+        """Meet `a rel b`, with `rel` PRECEDES or EQUALS, into the chain.
+
+        One point is speech and the other one of the last two events, or the
+        two are the last two events and `rel` is PRECEDES. A contradiction with
+        what the chain entails flags it inconsistent, after which it takes no
+        more constraints.
         """
-        net = self if self.closed else self.close()
-        if net.inconsistent:
+        if self.inconsistent:
+            return
+        sides = self.sides
+        if self.speech.id in (a, b):
+            k = self._position(a if b == self.speech.id else b)
+            side = AT if rel is PointRelation.EQUALS else BEFORE if b == self.speech.id else AFTER
+            if sides[k] is not None and sides[k] != side:
+                self.inconsistent = True
+                return
+            sides[k] = side
+        else:
+            if rel is not PointRelation.PRECEDES:
+                raise ValueError("an edge between two events is a strict precedence")
+            direction = self._position(b) - self._position(a)
+            if direction not in (FORWARD, BACKWARD):
+                raise ValueError("an edge joins the last two events")
+            edge = self.edges[-1]
+            if edge == -direction or not edge and _cycle(sides[-2], sides[-1], direction):
+                self.inconsistent = True
+                return
+            self.edges[-1] = direction
+        # The last event, if it has no side yet, gets one from its neighbour
+        # when that is at or beyond speech on the edge's far side.
+        edge = self.edges[-1] if self.edges else 0
+        if sides[-1] is None and edge and sides[-2] is not None and sides[-2] * edge >= 0:
+            sides[-1] = edge
+
+    def clashes(self, k: int, direction: int) -> bool:
+        """Whether edge k in `direction` (0: none) contradicts the chain: a
+        contradictory meet on the edge, or a cycle through speech."""
+        edge = self.edges[k]
+        if not direction or edge == direction:
+            return False
+        return bool(edge) or _cycle(self.sides[k], self.sides[k + 1], direction)
+
+    def with_edges(self, directions: Sequence[int]) -> "ChainNetwork":
+        """The chain with edge k set to `directions[k]` wherever that is not 0,
+        each checked with `clashes`."""
+        reading = ChainNetwork(self.speech)
+        reading.events, reading.sides = self.events, self.sides
+        reading.edges = [direction or edge for direction, edge in zip(directions, self.edges)]
+        return reading
+
+    def precedences(self) -> tuple[tuple[str, str], ...]:
+        """Each entailed `a < b` between two events, as `(a, b)`, in O(n + output).
+
+        Pairs are taken in chain order: for i < j, `(e_i, e_j)` if e_i
+        precedes, `(e_j, e_i)` if it follows, nothing otherwise, which is what
+        `TemporalNetwork.query` gives pair by pair.
+        """
+        if self.inconsistent:
             raise InconsistentNetworkError("cannot query an inconsistent network")
-        ids = [net._resolve(pid) for pid in ids]
-        get = net.constraints.get
-        precedes = PointRelation.PRECEDES
+        ids = [point.id for point in self.events]
+        sides, edges = self.sides, self.edges
+        ends = list(range(len(ids)))  # ends[i]: the last event of the run of one-way edges from i
+        for k in range(len(edges) - 1, -1, -1):
+            if edges[k]:
+                ends[k] = ends[k + 1] if k + 1 < len(edges) and edges[k + 1] == edges[k] else k + 1
+        # Events on one side of speech are not ordered through it, so the sides
+        # matter only if there are two. Then members[side] lists the events on
+        # `side`, and upto[side][k] counts those up to event k.
+        members: dict[int, list[int]] = {}
+        upto: dict[int, list[int]] = {}
+        populated = set(sides)
+        if len(populated) > 1:
+            for side in populated:
+                members[side] = [j for j, s in enumerate(sides) if s == side]
+                upto[side] = list(accumulate(s == side for s in sides))
         order: list[tuple[str, str]] = []
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                # `a = b` is stored as `=`, never as `<`, under either order.
-                if get((a, b)) is precedes:
-                    order.append((a, b))
-                elif get((b, a)) is precedes:
-                    order.append((b, a))
+        for i, (a, side, end) in enumerate(zip(ids, sides, ends)):
+            if end > i:
+                run = ids[i + 1 : end + 1]
+                order.extend(zip(repeat(a), run) if edges[i] == FORWARD else zip(run, repeat(a)))
+            if upto:
+                later = sorted(chain.from_iterable(members[s][upto[s][end] :] for s in upto if s != side))
+                order.extend((a, ids[j]) if sides[j] > side else (ids[j], a) for j in later)
         return tuple(order)
+
+    def network(self) -> TemporalNetwork:
+        """The closed `TemporalNetwork` of the chain: each pair it entails, read off it.
+
+        That is the event order, each event's side of speech, and the
+        equalities among speech and the events at it.
+        """
+        points = {point.id: point for point in (self.speech, *self.events)}
+        if self.inconsistent:
+            return TemporalNetwork(points, inconsistent=True, closed=True)
+        precedes = PointRelation.PRECEDES
+        store = dict.fromkeys(self.precedences(), precedes)
+        speech = self.speech.id
+        at = [speech]
+        for point, side in zip(self.events, self.sides):
+            if side == BEFORE:
+                store[point.id, speech] = precedes
+            elif side == AFTER:
+                store[speech, point.id] = precedes
+            else:
+                at.append(point.id)
+        store.update(dict.fromkeys(combinations(sorted(at), 2), PointRelation.EQUALS))
+        return TemporalNetwork(points, store, closed=True)

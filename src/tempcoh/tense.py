@@ -15,7 +15,7 @@ defect of the discourse, not of the clause, and is raised as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .network import PointKind, PointRelation, TimePoint
 from .parsing import Clause, TenseForm
@@ -56,7 +56,7 @@ class TenseResolutionContext:
             raise ValueError(f"salient time {point.id!r} is not an event point")
 
     def remember(self, event_time: TimePoint) -> "TenseResolutionContext":
-        return replace(self, last_event_time=event_time)
+        return TenseResolutionContext(self.speech_time, event_time)
 
 
 @dataclass(frozen=True)

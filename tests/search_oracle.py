@@ -2,7 +2,9 @@
 
 This is the search `tempcoh.interpret` ran before it moved to a single
 iterative generator: `_Search`, `interpret` and `enumerate_assignments`
-below are that code unchanged, apart from imports. `_tense_stage` is the
+below are that code unchanged, apart from imports; `Interpretation` is
+the interpretation record of that time, whose `network` field held the
+closed network. `_tense_stage` is the
 tense stage as it was before it read clashes off the assertions: it
 recloses the network after every clause and asks it whether it is still
 consistent. `_event_order` reads the event order off the network as it
@@ -26,7 +28,6 @@ from tempcoh.coherence import (
 from tempcoh.interpret import (
     Diagnostic,
     DiagnosticCode,
-    Interpretation,
     _describe_constraints,
     _describe_cues,
     _speech_point,
@@ -39,6 +40,18 @@ from tempcoh.tense import (
     event_point_id,
     resolve_tense,
 )
+
+
+@dataclass(frozen=True)
+class Interpretation:
+    """Verdict, chosen relations, closed network, and entailed event ordering."""
+
+    felicitous: bool
+    relations: tuple[CoherenceRelation, ...]
+    network: TemporalNetwork
+    event_order: tuple[tuple[str, str], ...]
+    diagnostics: tuple[Diagnostic, ...]
+    trace: tuple[str, ...] = ()
 
 
 def _event_order(

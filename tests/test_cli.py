@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -120,6 +121,45 @@ def test_internal_error_exit_code(inputs, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert "RuntimeError: boom" in err
+
+
+class ClosedPipe(io.StringIO):
+    """An output stream whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("broken", ["stdout", "stderr"])
+def test_closed_output_pipe_exits_2(inputs, monkeypatch, broken):
+    """A reader that leaves early ends the run with exit 2, never 1, and nothing more is said."""
+    tmp_path, lexicon, axioms = inputs
+    disc = write_discourse(tmp_path, NARRATION)
+    other = "stderr" if broken == "stdout" else "stdout"
+    monkeypatch.setattr(sys, broken, ClosedPipe())
+    monkeypatch.setattr(sys, other, io.StringIO())
+    assert main(interpret_args(disc, lexicon, axioms, "--trace", "--json")) == 2
+    said = getattr(sys, other).getvalue()
+    # The trace comes before the JSON: a closed stderr stops the run before stdout.
+    if broken == "stdout":
+        assert said.endswith("[result] felicitous; entailed event order: t_c1 < t_c2\n")
+    else:
+        assert said == ""
+
+
+def test_closed_stdout_prints_nothing_at_exit(inputs, corpus_dir):
+    """Python flushes stdout at exit; into a closed pipe that would complain and exit 120."""
+    tmp_path, lexicon, axioms = inputs
+    disc = write_discourse(tmp_path, NARRATION)
+    command = [sys.executable, "-m", "tempcoh", *interpret_args(disc, lexicon, axioms, "--json")]
+    child = subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=corpus_dir.parent / "src"
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 2
+    assert err == b""
 
 
 def test_parse_error_exit_code(inputs, capsys):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+import search_oracle
 from randgen import random_axioms, random_discourse, random_lexicon
 from test_search_oracle import BOTH_WAYS, _question_pperf_chain
 from tempcoh import (
@@ -235,22 +236,31 @@ def test_long_discourse_needs_no_recursion(lexicon, axioms):
     assert [r.kind for r in interp.relations] == [RelationKind.PARALLEL] * 149
 
 
-def test_search_closes_no_network(lexicon, axioms, monkeypatch):
-    """Asserting onto a closed network keeps it closed: only the tense stage closes one."""
-    closing = []
-    close = TemporalNetwork.close
+def test_interpreter_builds_no_temporal_network(lexicon, axioms, monkeypatch):
+    """The interpreter runs on the chain; a `TemporalNetwork` is built only when read."""
+    calls = Counter()
+    for name in ("add_point", "assert_constraint", "close"):
+        method = getattr(TemporalNetwork, name)
 
-    def counted(net):
-        if not net.closed:
-            closing.append(net)
-        return close(net)
+        def counted(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
 
-    monkeypatch.setattr(TemporalNetwork, "close", counted)
-    clauses = tuple(clause(f"c{i}", "slip") for i in range(1, 51))
-    interp = interpret(Discourse(clauses=clauses), lexicon, axioms)
+        monkeypatch.setattr(TemporalNetwork, name, counted)
+    narration = Discourse(clauses=tuple(clause(f"c{i}", "slip") for i in range(1, 51)))
+    interp = interpret(narration, lexicon, axioms)
+    render_json(interpretation_to_dict(interp))
     assert [r.kind for r in interp.relations] == [RelationKind.NARRATION] * 49
     assert len(interp.event_order) == 50 * 49 // 2
-    assert len(closing) == 1
+    pperf = _question_pperf_chain(6, [])
+    readings = enumerate_assignments(pperf, lexicon, BOTH_WAYS)
+    assert len(readings) == 2**6
+    assert calls == Counter()
+
+    monkeypatch.undo()
+    assert interp.network == search_oracle.interpret(narration, lexicon, axioms).network
+    expected = search_oracle.enumerate_assignments(pperf, lexicon, BOTH_WAYS)
+    assert [r.network for r in readings] == [a.network for a in expected]
 
 
 @pytest.mark.parametrize(

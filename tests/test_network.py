@@ -117,8 +117,6 @@ def test_query_inconsistent_network_raises():
     net = net_over("a", "b").assert_constraint("a", "b", P).assert_constraint("a", "b", E)
     with pytest.raises(InconsistentNetworkError):
         net.query("a", "b")
-    with pytest.raises(InconsistentNetworkError):
-        net.precedences(["a", "b"])
 
 
 def test_unknown_point_rejected():
@@ -127,8 +125,6 @@ def test_unknown_point_rejected():
         net.assert_constraint("a", "z", P)
     with pytest.raises(UnknownPointError):
         net.query("z", "a")
-    with pytest.raises(UnknownPointError):
-        net.precedences(["a", "b", "z"])
 
 
 def test_reflexive_precedence_is_contradiction():
@@ -233,29 +229,3 @@ def test_assertion_onto_a_closed_network_matches_preorder_oracle(seed):
         for i in range(n):
             for j in range(n):
                 assert step.query(f"p{i}", f"p{j}") is oracle_query(sat, i, j)
-
-
-@given(seeds)
-@settings(max_examples=300)
-def test_precedences_match_preorder_oracle(seed):
-    """Every entailed precedence among a sample of the points, pairs in list order."""
-    rng = random.Random(seed)
-    net, n, constraints = random_network(rng)
-    order = rng.sample(range(n), rng.randint(0, n))
-    ids = [f"p{i}" for i in order]
-    sat = satisfying(n, constraints)
-    if len(sat) == 0:
-        with pytest.raises(InconsistentNetworkError):
-            net.precedences(ids)
-        return
-    expected = []
-    for k, i in enumerate(order):
-        for j in order[k + 1 :]:
-            rel = oracle_query(sat, i, j)
-            if rel is P:
-                expected.append((f"p{i}", f"p{j}"))
-            elif rel is F:
-                expected.append((f"p{j}", f"p{i}"))
-    assert not net.closed
-    assert net.precedences(ids) == tuple(expected)
-    assert net.close().precedences(ids) == tuple(expected)

@@ -99,9 +99,9 @@ def test_tense_stage_agrees_with_oracle_on_every_tense_sequence():
                     for i, tense in enumerate(tenses, start=1)
                 )
             )
-            net, diag, trace = _tense_stage(discourse)
+            chain, diag, trace = _tense_stage(discourse)
             old_net, old_diag, old_trace = search_oracle._tense_stage(discourse)
-            assert net == old_net
+            assert chain.network() == old_net
             assert diag == old_diag
             assert trace == old_trace
             if old_diag is not None and (
