@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .interpret import (
     CorpusError,
-    enumerate_assignments,
+    _interpret,
+    _reading_to_dict,
     interpret,
     interpretation_to_dict,
     render_json,
@@ -56,11 +57,6 @@ def _load_inputs(args):
     return lexicon, axioms
 
 
-def _print_trace(trace) -> None:
-    for line in trace:
-        print(line, file=sys.stderr)
-
-
 def _relation_line(rel) -> str:
     return f"{rel.kind.value}({rel.first}, {rel.second})"
 
@@ -68,21 +64,19 @@ def _relation_line(rel) -> str:
 def _cmd_interpret(args) -> int:
     lexicon, axioms = _load_inputs(args)
     discourse = _parse(parse_discourse, args.discourse, lexicon)
-    interp = interpret(discourse, lexicon, axioms)
+    if args.all:
+        # One search: its first reading is the verdict, then it goes on to the rest.
+        interp, readings = _interpret(discourse, axioms)
+    else:
+        interp, readings = interpret(discourse, lexicon, axioms), ()
     if args.trace:
-        _print_trace(interp.trace)
-    assignments = []
-    if args.all and interp.felicitous:
-        # An infelicitous verdict already shows that no assignment survives.
-        assignments = enumerate_assignments(discourse, lexicon, axioms)
+        print("\n".join(interp.trace), file=sys.stderr)
+    assignments = list(readings)
 
     if args.json:
         data = interpretation_to_dict(interp)
         if args.all:
-            rendered = map(interpretation_to_dict, assignments)
-            data["assignments"] = [
-                {key: d[key] for key in ("relations", "event_order")} for d in rendered
-            ]
+            data["assignments"] = list(map(_reading_to_dict, assignments))
         sys.stdout.write(render_json(data))
         return 0
 
@@ -118,9 +112,7 @@ def _cmd_corpus(args) -> int:
     report = run_corpus(args.directory, lexicon, axioms)
     if args.json:
         data = {
-            "cases": [
-                {"name": case.name, "passed": case.passed} for case in report.cases
-            ],
+            "cases": [{"name": case.name, "passed": case.passed} for case in report.cases],
             "total": len(report.cases),
             "failed": len(report.failures),
         }
@@ -129,10 +121,8 @@ def _cmd_corpus(args) -> int:
         for case in report.cases:
             print(f"{'PASS' if case.passed else 'FAIL'} {case.name}")
             if not case.passed:
-                print("  expected:")
-                print("    " + "\n    ".join(case.expected.rstrip().splitlines()))
-                print("  actual:")
-                print("    " + "\n    ".join(case.actual.rstrip().splitlines()))
+                for label, text in (("expected", case.expected), ("actual", case.actual)):
+                    print(f"  {label}:\n    " + "\n    ".join(text.rstrip().splitlines()))
         print(f"{len(report.cases) - len(report.failures)}/{len(report.cases)} cases passed")
     return 0 if report.passed else 3
 

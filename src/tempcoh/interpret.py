@@ -3,33 +3,29 @@
 Clauses are processed left to right. The tense stage mints event points
 and writes each clause's tense constraints into a chain network, keeping
 only the most recent event time, the one a past perfect anchors to. The
-coherence stage then walks adjacent pairs, trying each pair's candidate
-relations in cue-priority order: one generator, `_search`, yields every
-complete assignment whose constraints stay consistent and whose semantic
-prerequisites hold, in priority order.
-`interpret` takes the first and `enumerate_assignments` all of them. It
-is a depth-first search, so a dead end later in the discourse backtracks
-to a lower-priority candidate earlier. A pair's cues, candidates, their
-semantic support and edges, and its trace lines do not depend on what
-the search chose before it, so each pair is planned once per discourse
-and the search replays the plan, checking only the edges, whenever it
-enters the pair. It keeps its path on an explicit stack, one frame per
-open pair, instead of recursing per pair, so that Python's recursion
-limit does not bound the length of a discourse. Every constraint links
-an event to speech or two adjacent events, so the search checks a pair's
-edge against the tense chain in O(1) and never changes it: its only state
-is the relations chosen so far, and backtracking restores nothing. A
-discourse with no surviving assignment is infelicitous and carries a
-diagnostic naming the deepest pair at which the search failed. No
-`TemporalNetwork` is built on the way; `Interpretation.network` builds
+coherence stage is one generator, `_search`: a depth-first search over
+each adjacent pair's candidate relations in cue-priority order, yielding
+every complete assignment whose constraints stay consistent and whose
+semantic prerequisites hold. `interpret` takes the first assignment,
+`enumerate_assignments` all of them, and `tempcoh interpret --all` the
+verdict and then the rest of the same search. Each pair is planned once
+per discourse, and the search keeps its path on an explicit stack, so
+Python's recursion limit does not bound the length of a discourse. Every
+constraint links an event to speech or two adjacent events, so the
+search checks a pair's edge against the tense chain in O(1) and never
+changes it. A discourse with no surviving assignment is infelicitous and
+carries a diagnostic naming the deepest pair at which the search failed.
+No `TemporalNetwork` is built on the way; `Interpretation.network` builds
 one from the chain when it is read.
 
 The JSON output is deterministic: stable key order, two-space indent,
 newline terminated, non-ASCII escaped; its bytes are those of `json.dumps`
-with an indent of 2, plus a newline. `event_order` is read off the
-reading's chain in O(n + output), `ChainNetwork.precedences`. Corpus
-expectation files use the same shape minus the diagnostic message text,
-so expectations compare byte-for-byte against the canonicalized output.
+with an indent of 2, plus a newline. A record list, a plain list of plain
+dicts with one key order and only string values, is laid out from one
+row template, since its records differ only in their values. `event_order`
+is read off the reading's chain in O(n + output), `ChainNetwork.precedences`.
+Corpus expectation files use the same shape minus the diagnostic message
+text, so expectations compare byte-for-byte against the canonicalized output.
 """
 
 from __future__ import annotations
@@ -37,10 +33,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain as iter_chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
 from .coherence import (
     CoherenceRelation,
@@ -285,9 +282,8 @@ def _search(discourse, axioms, chain, trace):
     the tense chain in O(1). The chain is never changed, so the search's
     only state is the relations chosen so far. Yields every complete
     assignment that survives, with its chain, and appends the derivation
-    to `trace`. Once exhausted,
-    returns the diagnostic code and clause ids of the deepest pair at
-    which a branch died, or None if none died.
+    to `trace`. Once exhausted, returns the diagnostic code and clause ids
+    of the deepest pair at which a branch died, or None if none died.
     """
     clauses = discourse.clauses
     plans = [_plan(discourse, axioms, pair) for pair in zip(clauses, clauses[1:])]
@@ -320,6 +316,31 @@ def _search(discourse, axioms, chain, trace):
             return failure
 
 
+def _readings(search) -> Iterator[Interpretation]:
+    """A felicitous Interpretation of each assignment `search` yields."""
+    for relations, final in search:
+        yield Interpretation(True, relations, final, final.precedences(), diagnostics=())
+
+
+def _interpret(discourse: Discourse, axioms) -> tuple[Interpretation, Iterator[Interpretation]]:
+    """`interpret`'s verdict, and every reading of its search: the verdict's, then the rest."""
+    chain, diag, trace = _tense_stage(discourse)
+    if diag is None:
+        search = _search(discourse, axioms, chain, trace)
+        try:
+            chosen, final = next(search)
+        except StopIteration as exhausted:
+            diag = Diagnostic.make(*exhausted.value)
+        else:
+            order = final.precedences()
+            rendered = ", ".join(map(" < ".join, order)) or "none"
+            trace.append(f"[result] felicitous; entailed event order: {rendered}")
+            found = Interpretation(True, chosen, final, order, diagnostics=(), trace=tuple(trace))
+            return found, iter_chain((found,), _readings(search))
+    trace.append(f"[result] infelicitous: {diag.code.value}")
+    return Interpretation(False, (), chain, (), diagnostics=(diag,), trace=tuple(trace)), iter(())
+
+
 def interpret(
     discourse: Discourse, lexicon: Lexicon, axioms: list[CausalAxiom]
 ) -> Interpretation:
@@ -329,33 +350,7 @@ def interpret(
     pair and the entailed event ordering, or an infelicitous one whose
     diagnostics name the blocking clauses. Pure and deterministic.
     """
-    chain, diag, trace = _tense_stage(discourse)
-    if diag is None:
-        try:
-            relations, final = next(_search(discourse, axioms, chain, trace))
-        except StopIteration as exhausted:
-            diag = Diagnostic.make(*exhausted.value)
-        else:
-            order = final.precedences()
-            rendered = ", ".join(map(" < ".join, order)) or "none"
-            trace.append(f"[result] felicitous; entailed event order: {rendered}")
-            return Interpretation(
-                felicitous=True,
-                relations=relations,
-                chain=final,
-                event_order=order,
-                diagnostics=(),
-                trace=tuple(trace),
-            )
-    trace.append(f"[result] infelicitous: {diag.code.value}")
-    return Interpretation(
-        felicitous=False,
-        relations=(),
-        chain=chain,
-        event_order=(),
-        diagnostics=(diag,),
-        trace=tuple(trace),
-    )
+    return _interpret(discourse, axioms)[0]
 
 
 def enumerate_assignments(
@@ -363,40 +358,62 @@ def enumerate_assignments(
 ) -> list[Interpretation]:
     """Each surviving assignment in priority order, as a felicitous Interpretation."""
     chain, diag, _ = _tense_stage(discourse)
-    if diag is not None:
-        return []
-    return [
-        Interpretation(
-            felicitous=True,
-            relations=relations,
-            chain=final,
-            event_order=final.precedences(),
-            diagnostics=(),
-        )
-        for relations, final in _search(discourse, axioms, chain, [])
-    ]
+    return [] if diag else list(_readings(_search(discourse, axioms, chain, [])))
+
+
+def _reading_to_dict(interp: Interpretation) -> dict[str, Any]:
+    """The relations and event order of an interpretation's JSON form."""
+    return {
+        "relations": [
+            {"kind": rel.kind.value, "first": rel.first, "second": rel.second}
+            for rel in interp.relations
+        ],
+        "event_order": [{"before": b, "after": a} for b, a in interp.event_order],
+    }
 
 
 def interpretation_to_dict(interp: Interpretation) -> dict[str, Any]:
     """The stable JSON form of an interpretation."""
     return {
         "felicitous": interp.felicitous,
-        "relations": [
-            {"kind": rel.kind.value, "first": rel.first, "second": rel.second}
-            for rel in interp.relations
-        ],
-        "event_order": [
-            {"before": before, "after": after} for before, after in interp.event_order
-        ],
+        **_reading_to_dict(interp),
         "diagnostics": [
-            {
-                "code": diag.code.value,
-                "clauses": list(diag.clause_ids),
-                "message": diag.message,
-            }
-            for diag in interp.diagnostics
+            {"code": d.code.value, "clauses": list(d.clause_ids), "message": d.message}
+            for d in interp.diagnostics
         ],
     }
+
+
+@lru_cache(maxsize=64)
+def _row(keys: tuple[str, ...], inner: str) -> str:
+    """The `%` template of a record with `keys` laid out on the line `inner` breaks to."""
+    field = inner + "  "
+    body = ",".join(f"{field}{encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
+    return "{" + body + inner + "}"
+
+
+def _records(value: Any, inner: str) -> str | None:
+    """A record list's items, on the lines `inner` breaks to; None for any other value.
+
+    A record list is a plain list of plain dicts with one key order and only
+    string values. Its rows are filled into one cached row template.
+    """
+    if type(value) is not list or set(map(type, value)) != {dict}:
+        return None
+    keys = tuple(value[0])
+    # No dict repeats a key, so the keys of all the dicts, one after another,
+    # are `keys` repeated only if each dict has exactly `keys`, in that order.
+    if not keys or list(iter_chain.from_iterable(value)) != list(keys) * len(value):
+        return None
+    row, between = _row(keys, inner), "," + inner
+    fields = map(encode_basestring_ascii, iter_chain.from_iterable(map(dict.values, value)))
+    # At most 4,096 rows per `%`: its template and fields stay small however long the list.
+    sizes = [min(4096, len(value) - start) for start in range(0, len(value), 4096)]
+    fills = (between.join([row] * n) % tuple(islice(fields, n * len(keys))) for n in sizes)
+    try:
+        return between.join(fills)
+    except TypeError:  # the escaper takes only strings
+        return None
 
 
 def _render(value: Any, newline: str) -> str:
@@ -410,16 +427,15 @@ def _render(value: Any, newline: str) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            f"{encode_basestring_ascii(key)}: {_render(item, inner)}"
-            for key, item in value.items()
-        ]
+        items = [f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_render(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        items = _records(value, inner)
+        if items is None:
+            items = ("," + inner).join([_render(item, inner) for item in value])
+        return "[" + inner + items + newline + "]"
     return json.dumps(value)
 
 
@@ -429,7 +445,10 @@ def render_json(data: Mapping[str, Any]) -> str:
     Given an indent, Python 3.11's `json.dumps` encodes in pure Python;
     `_render` builds the same layout itself and leaves strings to
     `encode_basestring_ascii`, the C escaper `json.dumps` uses. Keys must
-    be strings, as in every dict the package renders.
+    be strings, as in every dict the package renders. In a record list,
+    as `relations` and `event_order` are, the records differ only in their
+    escaped values, so one cached row template per key order and indent
+    lays out every record, filled by C-level iteration, not a call per record.
     """
     return _render(data, "\n") + "\n"
 
@@ -446,16 +465,10 @@ def comparison_form(data: Mapping[str, Any]) -> dict[str, Any]:
     """
     return {
         "felicitous": data["felicitous"],
-        "relations": [
-            {"kind": r["kind"], "first": r["first"], "second": r["second"]}
-            for r in data["relations"]
-        ],
-        "event_order": [
-            {"before": o["before"], "after": o["after"]} for o in data["event_order"]
-        ],
+        "relations": [{k: r[k] for k in ("kind", "first", "second")} for r in data["relations"]],
+        "event_order": [{k: o[k] for k in ("before", "after")} for o in data["event_order"]],
         "diagnostics": [
-            {"code": d["code"], "clauses": list(d["clauses"])}
-            for d in data["diagnostics"]
+            {"code": d["code"], "clauses": list(d["clauses"])} for d in data["diagnostics"]
         ],
     }
 
@@ -562,9 +575,5 @@ def run_corpus(
         interp = interpret(discourse, lexicon, axioms)
         actual = render_json(comparison_form(interpretation_to_dict(interp)))
         expected = render_json(comparison_form(expectation))
-        results.append(
-            CaseResult(
-                name=name, passed=actual == expected, expected=expected, actual=actual
-            )
-        )
+        results.append(CaseResult(name, actual == expected, expected, actual))
     return CorpusReport(cases=tuple(results))

@@ -2,10 +2,14 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import search_oracle
+from tempcoh import serialize_discourse
 from tempcoh.cli import main
+from test_search_oracle import BOTH_WAYS, _question_pperf_chain
 
 LEXICON = "verb slip class=achievement\nverb spill class=accomplishment\n"
 AXIOMS = "cause spill slip\n"
@@ -97,6 +101,55 @@ def test_all_flag_lists_assignments(inputs, capsys):
     data = json.loads(capsys.readouterr().out)
     assert "assignments" in data
     assert data["assignments"][0]["relations"][0]["kind"] == "NARRATION"
+
+
+def write_question_pperf_chain(tmp_path, corpus_dir):
+    """Six past perfects under a question, with axioms both ways: 2^6 readings."""
+    disc = write_discourse(tmp_path, serialize_discourse(_question_pperf_chain(6, [])))
+    axioms = tmp_path / "both_ways.txt"
+    axioms.write_text("".join(f"cause {a.cause} {a.effect}\n" for a in BOTH_WAYS))
+    return interpret_args(disc, corpus_dir / "lexicon.txt", axioms, "--all", "--json")
+
+
+def test_all_flag_runs_one_search(tmp_path, corpus_dir, capsys, monkeypatch):
+    """The verdict and every reading come from one tense stage and one search."""
+    module = sys.modules["tempcoh.interpret"]  # `tempcoh.interpret` is the function
+    calls = Counter()
+    for name in ("_tense_stage", "_plan"):
+
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(write_question_pperf_chain(tmp_path, corpus_dir)) == 0
+    assert len(json.loads(capsys.readouterr().out)["assignments"]) == 2**6
+    assert calls == Counter({"_tense_stage": 1, "_plan": 6})
+
+
+def test_all_flag_json_bytes_match_the_oracle(tmp_path, corpus_dir, lexicon, capsys):
+    """`--all --json` with many readings, byte for byte against the recursive search."""
+    assert main(write_question_pperf_chain(tmp_path, corpus_dir)) == 0
+    discourse = _question_pperf_chain(6, [])
+
+    def reading(interp):
+        return {
+            "relations": [
+                {"kind": rel.kind.value, "first": rel.first, "second": rel.second}
+                for rel in interp.relations
+            ],
+            "event_order": [{"before": b, "after": a} for b, a in interp.event_order],
+        }
+
+    readings = search_oracle.enumerate_assignments(discourse, lexicon, BOTH_WAYS)
+    expected = {
+        "felicitous": True,
+        **reading(search_oracle.interpret(discourse, lexicon, BOTH_WAYS)),
+        "diagnostics": [],
+        "assignments": [reading(interp) for interp in readings],
+    }
+    assert len(readings) == 2**6
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_all_flag_on_infelicity_lists_none(inputs, capsys):

@@ -363,6 +363,69 @@ def test_render_json_matches_json_dumps(value):
     assert render_json(value) == json.dumps(value, indent=2) + "\n"
 
 
+class RecordDict(dict):
+    pass
+
+
+class RecordList(list):
+    pass
+
+
+# `%` must not reach a row template unescaped; `"` and non-ASCII are escaped.
+record_keys = st.text('%"\\\xe9\u2028\U0001f600ab', max_size=3) | json_strings
+
+
+@st.composite
+def record_lists(draw):
+    """A list of records sharing one key order, now and then with a row that breaks the rule.
+
+    A row may have its keys permuted or its last key dropped, a value that
+    is not a string, or be a dict subclass; the list may be a list subclass
+    or a tuple.
+    """
+    keys = draw(st.lists(record_keys, unique=True, max_size=4))
+    rarely = st.integers(0, 9).map(lambda n: n == 0)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        order = draw(st.sampled_from([keys] * 6 + [keys[:-1], keys[::-1], keys[1:] + keys[:1]]))
+        row = RecordDict if draw(rarely) else dict
+        values = json_values if draw(rarely) else json_strings
+        rows.append(row((key, draw(values)) for key in order))
+    return (RecordList if draw(rarely) else tuple if draw(rarely) else list)(rows)
+
+
+@given(
+    record_lists()
+    | st.lists(record_lists(), max_size=3)
+    | st.dictionaries(record_keys, record_lists(), max_size=3)
+)
+def test_render_json_matches_json_dumps_on_record_lists(value):
+    """Lists laid out from one row template give the bytes of `json.dumps` too."""
+    assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("clauses", [50, 100])
+def test_render_json_lays_out_a_record_list_at_once(lexicon, axioms, monkeypatch, clauses):
+    """The event order entries of a narration cost no `_render` call each.
+
+    A 50-clause one has 1,225 entries, filled by one `%`; a 100-clause one
+    has 4,950, more than one `%` fills.
+    """
+    module = sys.modules["tempcoh.interpret"]  # `tempcoh.interpret` is the function
+    render = module._render
+    calls = []
+
+    def counted(value, newline):
+        calls.append(value)
+        return render(value, newline)
+
+    monkeypatch.setattr(module, "_render", counted)
+    data = interpretation_to_dict(interpret(spast_chain(clauses), lexicon, axioms))
+    assert len(data["event_order"]) == clauses * (clauses - 1) // 2
+    assert render_json(data) == json.dumps(data, indent=2) + "\n"
+    assert len(calls) < 20
+
+
 def test_felicity_soundness_on_goldens(corpus_dir, lexicon, axioms):
     from tempcoh import parse_discourse
 
