@@ -5,7 +5,9 @@ single-file mode, 2 unreadable or malformed input (the message names the
 file) or an output pipe whose reader has gone (nothing more is printed),
 3 corpus failures, 4 internal error (the traceback goes to stderr).
 JSON goes to stdout; `--trace` derivation lines go to stderr so stdout
-stays machine-readable.
+stays machine-readable. `--all` writes each reading as the search finds
+it, so after exit 2 or 4 its stdout may be cut short. The argument parser
+is built once per process.
 """
 
 from __future__ import annotations
@@ -14,12 +16,17 @@ import argparse
 import os
 import sys
 import traceback
+from functools import cache, lru_cache
+from itertools import islice
 from pathlib import Path
 
 from .interpret import (
     CorpusError,
     _interpret,
-    _reading_to_dict,
+    _order_records,
+    _relation_records,
+    _render,
+    _row,
     interpret,
     interpretation_to_dict,
     render_json,
@@ -61,6 +68,46 @@ def _relation_line(rel) -> str:
     return f"{rel.kind.value}({rel.first}, {rel.second})"
 
 
+def _json_pieces(data, readings):
+    """`render_json` of `data` with an `assignments` list of `readings`, in pieces.
+
+    The first piece is the verdict; each further one is a reading, laid out
+    as the search yields it. A reading's relation rows are laid out by
+    `_render`, and its event order's rows once per distinct order: readings
+    with equal edges share one order (`_readings`). The two are filled into
+    the row template of a record.
+    """
+    text = render_json({**data, "assignments": []})
+    if not data["felicitous"]:  # only a felicitous verdict has readings, its own first
+        yield text
+        return
+    yield text[: -len("]\n}\n")]
+    item = "\n    "  # the line each reading starts on
+    inner = item + "  "
+    row = _row(("relations", "event_order"), item)
+    order_rows = lru_cache(64)(lambda order: _render(_order_records(order), inner))
+    sep = item
+    for reading in readings:
+        relations = _render(_relation_records(reading.relations), inner)
+        yield sep + row % (relations, order_rows(reading.event_order))
+        sep = "," + item
+    yield "\n  ]\n}\n"
+
+
+def _text_pieces(readings):
+    """The plain `assignments:` lines, one per reading as the search yields it."""
+    order_line = lru_cache(64)(lambda order: ", ".join(map(" < ".join, order)) or "unordered")
+    for i, reading in enumerate(readings, start=1):
+        rels = ", ".join(map(_relation_line, reading.relations)) or "(none)"
+        yield f"  {i}. {rels}; {order_line(reading.event_order)}\n"
+
+
+def _write_blocks(pieces) -> None:
+    """Write the strings of the iterator `pieces`, none empty, to stdout, 128 to a block."""
+    for block in iter(lambda: "".join(islice(pieces, 128)), ""):
+        sys.stdout.write(block)
+
+
 def _cmd_interpret(args) -> int:
     lexicon, axioms = _load_inputs(args)
     discourse = _parse(parse_discourse, args.discourse, lexicon)
@@ -71,13 +118,13 @@ def _cmd_interpret(args) -> int:
         interp, readings = interpret(discourse, lexicon, axioms), ()
     if args.trace:
         print("\n".join(interp.trace), file=sys.stderr)
-    assignments = list(readings)
 
     if args.json:
         data = interpretation_to_dict(interp)
         if args.all:
-            data["assignments"] = list(map(_reading_to_dict, assignments))
-        sys.stdout.write(render_json(data))
+            _write_blocks(_json_pieces(data, readings))
+        else:
+            sys.stdout.write(render_json(data))
         return 0
 
     print(f"verdict: {'felicitous' if interp.felicitous else 'infelicitous'}")
@@ -97,13 +144,9 @@ def _cmd_interpret(args) -> int:
         for diag in interp.diagnostics:
             print(f"  {diag.code.value}: {diag.message}")
     if args.all:
-        print("assignments:")
-        for i, a in enumerate(assignments, start=1):
-            rels = ", ".join(_relation_line(r) for r in a.relations) or "(none)"
-            order = ", ".join(f"{x} < {y}" for x, y in a.event_order) or "unordered"
-            print(f"  {i}. {rels}; {order}")
-        if not assignments:
-            print("  (none)")
+        # Only a felicitous verdict has readings, its own first.
+        print("assignments:" if interp.felicitous else "assignments:\n  (none)")
+        _write_blocks(_text_pieces(readings))
     return 0 if interp.felicitous else 1
 
 
@@ -160,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built on the first `main` call of the process, then reused
+
+
 def _quiet_if_broken(stream) -> None:
     """Point `stream` at the null device if its reader has gone.
 
@@ -187,7 +233,7 @@ def _report(text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # No handler below can raise: an exception escaping `main` would exit 1,
     # which means "infelicitous".
     try:

@@ -8,8 +8,9 @@ each adjacent pair's candidate relations in cue-priority order, yielding
 every complete assignment whose constraints stay consistent and whose
 semantic prerequisites hold. `interpret` takes the first assignment,
 `enumerate_assignments` all of them, and `tempcoh interpret --all` the
-verdict and then the rest of the same search. Each pair is planned once
-per discourse, and the search keeps its path on an explicit stack, so
+verdict and then the rest of the same search, one at a time; readings
+with equal edges share one event order. Each pair is planned once per
+discourse, and the search keeps its path on an explicit stack, so
 Python's recursion limit does not bound the length of a discourse. Every
 constraint links an event to speech or two adjacent events, so the
 search checks a pair's edge against the tense chain in O(1) and never
@@ -316,10 +317,22 @@ def _search(discourse, axioms, chain, trace):
             return failure
 
 
-def _readings(search) -> Iterator[Interpretation]:
-    """A felicitous Interpretation of each assignment `search` yields."""
+def _readings(search, orders) -> Iterator[Interpretation]:
+    """A felicitous Interpretation of each assignment `search` yields.
+
+    A reading's event order depends only on its edges, since its events and
+    their sides come from the tense stage. So `orders` maps an edge vector
+    to its order, computed once, and readings with equal edges share one
+    order tuple. It holds at most 64 orders, however many readings there are.
+    """
     for relations, final in search:
-        yield Interpretation(True, relations, final, final.precedences(), diagnostics=())
+        edges = tuple(final.edges)
+        order = orders.get(edges)
+        if order is None:
+            if len(orders) == 64:
+                orders.clear()
+            order = orders[edges] = final.precedences()
+        yield Interpretation(True, relations, final, order, diagnostics=())
 
 
 def _interpret(discourse: Discourse, axioms) -> tuple[Interpretation, Iterator[Interpretation]]:
@@ -336,7 +349,7 @@ def _interpret(discourse: Discourse, axioms) -> tuple[Interpretation, Iterator[I
             rendered = ", ".join(map(" < ".join, order)) or "none"
             trace.append(f"[result] felicitous; entailed event order: {rendered}")
             found = Interpretation(True, chosen, final, order, diagnostics=(), trace=tuple(trace))
-            return found, iter_chain((found,), _readings(search))
+            return found, iter_chain((found,), _readings(search, {tuple(final.edges): order}))
     trace.append(f"[result] infelicitous: {diag.code.value}")
     return Interpretation(False, (), chain, (), diagnostics=(diag,), trace=tuple(trace)), iter(())
 
@@ -358,25 +371,23 @@ def enumerate_assignments(
 ) -> list[Interpretation]:
     """Each surviving assignment in priority order, as a felicitous Interpretation."""
     chain, diag, _ = _tense_stage(discourse)
-    return [] if diag else list(_readings(_search(discourse, axioms, chain, [])))
+    return [] if diag else list(_readings(_search(discourse, axioms, chain, []), {}))
 
 
-def _reading_to_dict(interp: Interpretation) -> dict[str, Any]:
-    """The relations and event order of an interpretation's JSON form."""
-    return {
-        "relations": [
-            {"kind": rel.kind.value, "first": rel.first, "second": rel.second}
-            for rel in interp.relations
-        ],
-        "event_order": [{"before": b, "after": a} for b, a in interp.event_order],
-    }
+def _relation_records(relations) -> list[dict[str, str]]:
+    return [{"kind": rel.kind.value, "first": rel.first, "second": rel.second} for rel in relations]
+
+
+def _order_records(order) -> list[dict[str, str]]:
+    return [{"before": before, "after": after} for before, after in order]
 
 
 def interpretation_to_dict(interp: Interpretation) -> dict[str, Any]:
     """The stable JSON form of an interpretation."""
     return {
         "felicitous": interp.felicitous,
-        **_reading_to_dict(interp),
+        "relations": _relation_records(interp.relations),
+        "event_order": _order_records(interp.event_order),
         "diagnostics": [
             {"code": d.code.value, "clauses": list(d.clause_ids), "message": d.message}
             for d in interp.diagnostics

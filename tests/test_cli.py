@@ -1,5 +1,9 @@
+import argparse
+import dataclasses
 import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -7,9 +11,12 @@ from collections import Counter
 import pytest
 
 import search_oracle
-from tempcoh import serialize_discourse
+from randgen import LEMMAS, random_axioms, random_discourse, random_lexicon
+from tempcoh import CausalAxiom, ChainNetwork, DiagnosticCode, TenseForm, serialize_discourse
 from tempcoh.cli import main
-from test_search_oracle import BOTH_WAYS, _question_pperf_chain
+from test_search_oracle import BOTH_WAYS, QUESTION, _question_pperf_chain
+
+PAST_TENSES = (TenseForm.SPAST, TenseForm.PPERF)
 
 LEXICON = "verb slip class=achievement\nverb spill class=accomplishment\n"
 AXIOMS = "cause spill slip\n"
@@ -94,6 +101,17 @@ def test_trace_goes_to_stderr(inputs, capsys):
     json.loads(captured.out)  # stdout still parses
 
 
+def test_main_builds_its_parser_once(inputs, capsys, monkeypatch):
+    tmp_path, lexicon, axioms = inputs
+    args = interpret_args(write_discourse(tmp_path, NARRATION), lexicon, axioms)
+    assert main(args) == 0
+    built = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *a, **k: built.append(a))
+    assert main(args) == 0
+    assert built == []
+    assert capsys.readouterr().out.count("verdict: felicitous") == 2
+
+
 def test_all_flag_lists_assignments(inputs, capsys):
     tmp_path, lexicon, axioms = inputs
     disc = write_discourse(tmp_path, NARRATION)
@@ -152,6 +170,111 @@ def test_all_flag_json_bytes_match_the_oracle(tmp_path, corpus_dir, lexicon, cap
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
+def test_all_flag_computes_one_event_order(tmp_path, corpus_dir, capsys, monkeypatch):
+    """The 2^6 readings have the verdict's edges, so they share its one event order."""
+    calls = Counter()
+    precedences = ChainNetwork.precedences
+
+    def counted(chain):
+        calls["precedences"] += 1
+        return precedences(chain)
+
+    monkeypatch.setattr(ChainNetwork, "precedences", counted)
+    assert main(write_question_pperf_chain(tmp_path, corpus_dir)) == 0
+    assert len(json.loads(capsys.readouterr().out)["assignments"]) == 2**6
+    assert calls == Counter({"precedences": 1})
+
+
+def _oracle_reading(interp):
+    return {
+        "relations": [
+            {"kind": rel.kind.value, "first": rel.first, "second": rel.second}
+            for rel in interp.relations
+        ],
+        "event_order": [{"before": b, "after": a} for b, a in interp.event_order],
+    }
+
+
+def _oracle_all_json(verdict, readings):
+    """What `--all --json` prints, built from the recursive search with `json.dumps`."""
+    data = {
+        "felicitous": verdict.felicitous,
+        **_oracle_reading(verdict),
+        "diagnostics": [
+            {"code": d.code.value, "clauses": list(d.clause_ids), "message": d.message}
+            for d in verdict.diagnostics
+        ],
+        "assignments": list(map(_oracle_reading, readings)),
+    }
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _oracle_all_text(verdict, readings):
+    """What plain `--all` prints, built from the recursive search."""
+
+    def relation(rel):
+        return f"{rel.kind.value}({rel.first}, {rel.second})"
+
+    lines = [f"verdict: {'felicitous' if verdict.felicitous else 'infelicitous'}"]
+    if verdict.felicitous:
+        lines += ["relations:", *(f"  {relation(rel)}" for rel in verdict.relations)]
+        lines += ["  (none)"] * (not verdict.relations)
+        lines += ["event order:", *(f"  {b} < {a}" for b, a in verdict.event_order)]
+        lines += ["  (unordered)"] * (not verdict.event_order)
+    else:
+        lines += ["diagnostics:", *(f"  {d.code.value}: {d.message}" for d in verdict.diagnostics)]
+    lines.append("assignments:")
+    for i, reading in enumerate(readings, start=1):
+        rels = ", ".join(map(relation, reading.relations)) or "(none)"
+        order = ", ".join(f"{b} < {a}" for b, a in reading.event_order) or "unordered"
+        lines.append(f"  {i}. {rels}; {order}")
+    lines += ["  (none)"] * (not readings)
+    return "\n".join(lines) + "\n"
+
+
+def test_all_flag_output_matches_the_oracle_on_random_discourses(tmp_path, capsys):
+    """`--all`, JSON and plain text, byte for byte against the recursive search.
+
+    The seeded sample reaches every verdict: discourses with several
+    readings, with one, with one that has no relation, and infelicitous
+    ones, which have none. Only a past perfect under a topic question has
+    two readings, so every other discourse is drawn from simple pasts and
+    past perfects under a question, with every causal axiom.
+    """
+    every_axiom = [CausalAxiom(cause=a, effect=b) for a, b in itertools.permutations(LEMMAS, 2)]
+    lexicon = random_lexicon()
+    lexicon_path = tmp_path / "lexicon.txt"
+    lexicon_path.write_text(
+        "".join(f"verb {lemma} class={cls.value}\n" for lemma, cls in lexicon.entries.items())
+    )
+    axioms_path = tmp_path / "axioms.txt"
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        if seed % 2:
+            axioms = every_axiom
+            discourse = random_discourse(
+                rng, max_clauses=7, tenses=PAST_TENSES, allow_connectives=False
+            )
+            discourse = dataclasses.replace(discourse, context_question=QUESTION)
+        else:
+            axioms = random_axioms(rng)
+            discourse = random_discourse(rng, max_clauses=7)
+        axioms_path.write_text("".join(f"cause {a.cause} {a.effect}\n" for a in axioms))
+        disc = write_discourse(tmp_path, serialize_discourse(discourse))
+        verdict = search_oracle.interpret(discourse, lexicon, axioms)
+        readings = search_oracle.enumerate_assignments(discourse, lexicon, axioms)
+        args = interpret_args(disc, lexicon_path, axioms_path, "--all")
+        assert main([*args, "--json"]) == 0
+        assert capsys.readouterr().out == _oracle_all_json(verdict, readings), seed
+        assert main(args) == (0 if verdict.felicitous else 1)
+        assert capsys.readouterr().out == _oracle_all_text(verdict, readings), seed
+        seen.update(d.code for d in verdict.diagnostics)
+        seen.add(min(len(readings), 8))
+        seen.update("no relation" for r in readings if not r.relations)
+    assert seen == {*DiagnosticCode, 0, 1, 2, 4, 8, "no relation"}
+
+
 def test_all_flag_on_infelicity_lists_none(inputs, capsys):
     tmp_path, lexicon, axioms = inputs
     disc = write_discourse(tmp_path, PPERF_ALONE)
@@ -198,6 +321,37 @@ def test_closed_output_pipe_exits_2(inputs, monkeypatch, broken):
         assert said.endswith("[result] felicitous; entailed event order: t_c1 < t_c2\n")
     else:
         assert said == ""
+
+
+class PipeClosedAfterOneWrite(io.StringIO):
+    """An output stream whose reader goes after the first block."""
+
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_closed_stdout_stops_the_all_search(tmp_path, corpus_dir, monkeypatch):
+    """Readings are written as they are found, so a reader that goes stops the search."""
+    disc = write_discourse(tmp_path, serialize_discourse(_question_pperf_chain(10, [])))
+    axioms = tmp_path / "both_ways.txt"
+    axioms.write_text("".join(f"cause {a.cause} {a.effect}\n" for a in BOTH_WAYS))
+    calls = Counter()
+    with_edges = ChainNetwork.with_edges
+
+    def counted(chain, directions):
+        calls["with_edges"] += 1
+        return with_edges(chain, directions)
+
+    monkeypatch.setattr(ChainNetwork, "with_edges", counted)
+    monkeypatch.setattr(sys, "stdout", PipeClosedAfterOneWrite())
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    args = interpret_args(disc, corpus_dir / "lexicon.txt", axioms, "--all", "--json")
+    assert main(args) == 2
+    assert sys.stderr.getvalue() == ""
+    assert sys.stdout.getvalue().startswith('{\n  "felicitous": true,')
+    assert 0 < calls["with_edges"] < 2**10
 
 
 def test_closed_stdout_prints_nothing_at_exit(inputs, corpus_dir):

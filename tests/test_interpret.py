@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -28,6 +29,8 @@ from tempcoh import (
     render_json,
     run_corpus,
 )
+from tempcoh.interpret import _readings, _tense_stage
+from tempcoh.network import BACKWARD, FORWARD
 
 
 def clause(cid, verb, tense=TenseForm.SPAST, connective=None, obj=None):
@@ -334,6 +337,23 @@ def test_event_order_makes_no_query_per_pair(lexicon, axioms, monkeypatch):
     interp = interpret(spast_chain(50), lexicon, axioms)
     assert len(interp.event_order) == 50 * 49 // 2
     assert calls == []
+
+
+def test_readings_share_one_event_order_per_edge_vector():
+    """Readings with equal edges share one order, however many distinct ones go by.
+
+    The grammar's readings of one discourse all have the same edges, so
+    this feeds `_readings` a search of every edge vector of a 5-event
+    chain, 81 of them, more than the 64 orders it holds, each twice.
+    """
+    chain, _, _ = _tense_stage(spast_chain(5))
+    vectors = [v for v in itertools.product((FORWARD, 0, BACKWARD), repeat=4) for _ in (0, 1)]
+    search = (((), chain.with_edges(vector)) for vector in vectors)
+    readings = list(_readings(search, {}))
+    for reading, vector in zip(readings, vectors):
+        assert reading.event_order == chain.with_edges(vector).precedences()
+    assert all(a.event_order is b.event_order for a, b in zip(readings[::2], readings[1::2]))
+    assert len({id(reading.event_order) for reading in readings}) == len(vectors) // 2
 
 
 def test_render_json_does_not_use_the_pure_python_encoder(lexicon, axioms, monkeypatch):
